@@ -2,6 +2,17 @@
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# A request's matrices are small: extra OpenBLAS/OpenMP threads spin rather
+# than help, and make request times depend on what else the machine runs.
+# The pools are sized when numpy loads, so the default can only be set
+# before then; a count the user set is kept.
+if "numpy" not in _sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, "1")
+
 from .mesh import (Material, Model, Part, SurfaceSamples, TriangleMesh,
                    load_model, normalize_model, sample_surface, save_model,
                    segment_parts)

@@ -12,14 +12,14 @@ points, counting the ground.
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .database import FEASIBILITY_THRESHOLD, AngleHistogram
-from .graphs import ContactGraph
+from .graphs import ContactGraph, fold_angle_deg
 from .mesh import Material
 
 logger = logging.getLogger(__name__)
@@ -616,15 +616,8 @@ def optimize_configuration(cset: ConstraintSet, constraints, parts: dict,
     bounds on the slide parameters) from the current configuration."""
     targets = {c.edge: c.target for c in constraints}
     if not cset.binds:
-        segments = {pid: st.segment.copy() for pid, st in parts.items()}
-        report = _feasibility_report(segments, targets, parts, materials, db)
-        obj = sum(r["error_sq"] for r in report)
-        return Configuration(index=cset.index, segments=segments, slide_params={},
-                             objective=obj, opt_value=obj, converged=True,
-                             dropped_edges=[], new_contacts=[],
-                             kept_edges=[c.edge for c in constraints],
-                             feasibility_report=report, moved_parts=[],
-                             no_hanging_ok=True)
+        return replace(all_rigid_configuration(constraints, parts, db, materials),
+                       index=cset.index)
 
     layout, fun = make_objective(cset, constraints, parts)
     if len(layout.x0) == 0:
@@ -663,11 +656,9 @@ def optimize_configuration(cset: ConstraintSet, constraints, parts: dict,
 def _segment_angle(seg_i, seg_j):
     u = seg_i[1] - seg_i[0]
     v = seg_j[1] - seg_j[0]
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu < 1e-12 or nv < 1e-12:
+    if np.linalg.norm(u) < 1e-12 or np.linalg.norm(v) < 1e-12:
         return None
-    c = abs(float(u @ v)) / (nu * nv)
-    return float(np.degrees(np.arccos(np.clip(c, 0.0, 1.0))))
+    return fold_angle_deg(u, v)
 
 
 def _feasibility_report(segments, targets, parts, materials, db, restrict=None):

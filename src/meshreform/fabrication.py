@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import Material, TriangleMesh
+from .mesh import Material, Model, Part, save_model
 from .obb import OrientedBox, box_gap, boxes_mesh, subtract_local_box
 from .qp import QPInfeasibleError, kkt_residual, solve_min_change_qp
 from .similarity import DEFAULT_PARAMS
@@ -563,8 +563,8 @@ def export_spec(spec: FabricationSpec, out_dir, part_meshes=None):
             mesh = part_meshes.get(p.part_id)
         if mesh is not None:
             fname = f"part_{p.part_id}.obj"
-            _write_mesh(os.path.join(out_dir, fname), mesh,
-                        name=f"part_{p.part_id}")
+            save_model(Model([Part(p.part_id, mesh, name=f"part_{p.part_id}")]),
+                       os.path.join(out_dir, fname))
             p.mesh_file = fname
     path = os.path.join(out_dir, "spec.json")
     with open(path, "w") as fh:
@@ -579,11 +579,3 @@ def load_spec(path) -> FabricationSpec:
         raise ValueError(f"unsupported spec version {d.get('version')!r}")
     return FabricationSpec.from_json(d)
 
-
-def _write_mesh(path, mesh: TriangleMesh, name="part"):
-    with open(path, "w") as fh:
-        fh.write(f"g {name}\n")
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")

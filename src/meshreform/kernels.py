@@ -1,31 +1,25 @@
 """Hot numeric kernels: ray casting, nearest-point queries, box occupancy.
 
-Each kernel has a numba ``@njit`` implementation and a vectorized pure-numpy
-fallback. The active path is chosen once at import time: numba is used when
-it imports cleanly and the environment variable ``MESHREFORM_NUMBA`` is not
-set to ``0``. Both variants stay importable (``*_numpy`` / ``*_numba``) so
-tests and ``benchmarks/bench_kernels.py`` can compare them directly.
+Each kernel is one vectorized numpy implementation. The ray and
+nearest-point kernels work through their queries in chunks, so that the
+pairwise intermediate arrays stay a few million entries long whatever the
+input size. The tests check every kernel against a per-element loop or a
+dense distance matrix.
 """
-
-import os
 
 import numpy as np
 
 _EPS_DET = 1e-14
 
-USE_NUMBA = os.environ.get("MESHREFORM_NUMBA", "1") != "0"
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:
-        USE_NUMBA = False
+# No compiled kernel path exists; perfbench/run.py prints this value.
+USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # ray / mesh first hit (Moller-Trumbore, no backface culling)
 # ---------------------------------------------------------------------------
 
-def ray_mesh_first_hit_numpy(origins, dirs, v0, v1, v2, min_t=1e-9):
+def ray_mesh_first_hit(origins, dirs, v0, v1, v2, min_t=1e-9):
     """Distance along each ray to its first triangle hit (inf if none).
 
     origins, dirs: (n, 3); v0, v1, v2: (m, 3) triangle corners. Hits at
@@ -57,53 +51,13 @@ def ray_mesh_first_hit_numpy(origins, dirs, v0, v1, v2, min_t=1e-9):
     return out
 
 
-def _ray_mesh_first_hit_loops(origins, dirs, v0, v1, v2, min_t=1e-9):
-    n = origins.shape[0]
-    m = v0.shape[0]
-    out = np.full(n, np.inf)
-    for i in range(n):
-        ox, oy, oz = origins[i, 0], origins[i, 1], origins[i, 2]
-        dx, dy, dz = dirs[i, 0], dirs[i, 1], dirs[i, 2]
-        best = np.inf
-        for j in range(m):
-            e1x = v1[j, 0] - v0[j, 0]
-            e1y = v1[j, 1] - v0[j, 1]
-            e1z = v1[j, 2] - v0[j, 2]
-            e2x = v2[j, 0] - v0[j, 0]
-            e2y = v2[j, 1] - v0[j, 1]
-            e2z = v2[j, 2] - v0[j, 2]
-            px = dy * e2z - dz * e2y
-            py = dz * e2x - dx * e2z
-            pz = dx * e2y - dy * e2x
-            det = e1x * px + e1y * py + e1z * pz
-            if abs(det) <= _EPS_DET:
-                continue
-            inv = 1.0 / det
-            tx = ox - v0[j, 0]
-            ty = oy - v0[j, 1]
-            tz = oz - v0[j, 2]
-            u = (tx * px + ty * py + tz * pz) * inv
-            if u < -1e-12 or u > 1.0 + 1e-12:
-                continue
-            qx = ty * e1z - tz * e1y
-            qy = tz * e1x - tx * e1z
-            qz = tx * e1y - ty * e1x
-            v = (dx * qx + dy * qy + dz * qz) * inv
-            if v < -1e-12 or u + v > 1.0 + 1e-12:
-                continue
-            t = (e2x * qx + e2y * qy + e2z * qz) * inv
-            if t > min_t and t < best:
-                best = t
-        out[i] = best
-    return out
-
-
 # ---------------------------------------------------------------------------
 # nearest-point queries between sample sets
 # ---------------------------------------------------------------------------
 
-def nearest_sq_dists_numpy(query, ref):
-    """Squared distance from each query point to its nearest ref point."""
+def nearest_sq_dists(query, ref):
+    """Squared distance from each query point to its nearest ref point
+    (inf for every query point when ``ref`` is empty)."""
     n = query.shape[0]
     out = np.empty(n)
     if ref.shape[0] == 0:
@@ -116,52 +70,18 @@ def nearest_sq_dists_numpy(query, ref):
     return out
 
 
-def _nearest_sq_dists_loops(query, ref):
-    n = query.shape[0]
-    m = ref.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        qx, qy, qz = query[i, 0], query[i, 1], query[i, 2]
-        best = np.inf
-        for j in range(m):
-            dx = qx - ref[j, 0]
-            dy = qy - ref[j, 1]
-            dz = qz - ref[j, 2]
-            d2 = dx * dx + dy * dy + dz * dz
-            if d2 < best:
-                best = d2
-        out[i] = best
-    return out
-
-
-def nearest_sq_sum_capped_numpy(query, ref, cap):
+def nearest_sq_sum_capped(query, ref, cap):
     """Sum of nearest squared distances, aborted (returning inf) once the
-    running total exceeds ``cap``. Lets alignment scans bail out early."""
+    running total exceeds ``cap``. Lets alignment scans bail out early.
+    With an empty ``ref`` every distance is inf, and so is the sum of a
+    non-empty ``query``."""
+    if ref.shape[0] == 0:
+        return np.inf if query.shape[0] else 0.0
     total = 0.0
-    chunk = max(1, int(2_000_000 // max(1, ref.shape[0])))
+    chunk = max(1, int(2_000_000 // ref.shape[0]))
     for s in range(0, query.shape[0], chunk):
         d = query[s:s + chunk, None, :] - ref[None, :, :]
         total += float(np.einsum("ijk,ijk->ij", d, d).min(axis=1).sum())
-        if total > cap:
-            return np.inf
-    return total
-
-
-def _nearest_sq_sum_capped_loops(query, ref, cap):
-    n = query.shape[0]
-    m = ref.shape[0]
-    total = 0.0
-    for i in range(n):
-        qx, qy, qz = query[i, 0], query[i, 1], query[i, 2]
-        best = np.inf
-        for j in range(m):
-            dx = qx - ref[j, 0]
-            dy = qy - ref[j, 1]
-            dz = qz - ref[j, 2]
-            d2 = dx * dx + dy * dy + dz * dz
-            if d2 < best:
-                best = d2
-        total += best
         if total > cap:
             return np.inf
     return total
@@ -171,7 +91,7 @@ def _nearest_sq_sum_capped_loops(query, ref, cap):
 # point-in-oriented-box occupancy (voxel oracles, proxy CSG checks)
 # ---------------------------------------------------------------------------
 
-def points_in_boxes_numpy(points, centers, axes, half_extents, tol=1e-9):
+def points_in_boxes(points, centers, axes, half_extents, tol=1e-9):
     """Boolean mask: point inside at least one oriented box.
 
     centers: (k, 3); axes: (k, 3, 3) rows are unit box axes;
@@ -187,55 +107,9 @@ def points_in_boxes_numpy(points, centers, axes, half_extents, tol=1e-9):
     return out
 
 
-def _points_in_boxes_loops(points, centers, axes, half_extents, tol=1e-9):
-    n = points.shape[0]
-    k = centers.shape[0]
-    out = np.zeros(n, dtype=np.bool_)
-    for i in range(n):
-        px, py, pz = points[i, 0], points[i, 1], points[i, 2]
-        for b in range(k):
-            rx = px - centers[b, 0]
-            ry = py - centers[b, 1]
-            rz = pz - centers[b, 2]
-            inside = True
-            for a in range(3):
-                c = rx * axes[b, a, 0] + ry * axes[b, a, 1] + rz * axes[b, a, 2]
-                if abs(c) > half_extents[b, a] + tol:
-                    inside = False
-                    break
-            if inside:
-                out[i] = True
-                break
-    return out
-
-
-if USE_NUMBA:
-    ray_mesh_first_hit_numba = njit(cache=True)(_ray_mesh_first_hit_loops)
-    nearest_sq_dists_numba = njit(cache=True)(_nearest_sq_dists_loops)
-    nearest_sq_sum_capped_numba = njit(cache=True)(_nearest_sq_sum_capped_loops)
-    points_in_boxes_numba = njit(cache=True)(_points_in_boxes_loops)
-    ray_mesh_first_hit = ray_mesh_first_hit_numba
-    nearest_sq_dists = nearest_sq_dists_numba
-    nearest_sq_sum_capped = nearest_sq_sum_capped_numba
-    points_in_boxes = points_in_boxes_numba
-else:
-    ray_mesh_first_hit = ray_mesh_first_hit_numpy
-    nearest_sq_dists = nearest_sq_dists_numpy
-    nearest_sq_sum_capped = nearest_sq_sum_capped_numpy
-    points_in_boxes = points_in_boxes_numpy
-
-
-def min_sq_dist(a, b):
-    """Minimum squared distance between two point sets."""
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.inf
-    if a.shape[0] <= b.shape[0]:
-        return float(nearest_sq_dists(a, b).min())
-    return float(nearest_sq_dists(b, a).min())
-
-
 def warmup():
-    """Trigger JIT compilation of all kernels on tiny inputs."""
+    """Run every kernel once on tiny inputs, so that one-off costs of a
+    first call (imports, allocator growth) fall outside timed work."""
     pts = np.zeros((2, 3))
     tri = np.array([[[0.0, 0, 0]], [[1.0, 0, 0]], [[0.0, 1, 0]]])
     ray_mesh_first_hit(pts, pts + [0.0, 0.0, 1.0], tri[0], tri[1], tri[2])

@@ -19,8 +19,7 @@ from . import assembly, config_opt, fabrication, inference
 from .database import (Database, DatabaseSource, build_database,
                        cluster_candidates, load_database)
 from .graphs import (ContactGraph, GROUND_ID, annotate_contact_angles,
-                     build_contact_graph, build_repetition_graph,
-                     estimate_contact_angle)
+                     build_contact_graph, build_repetition_graph)
 from .mesh import (Material, Model, Part, TriangleMesh, load_model,
                    normalize_model, sample_surface, save_model)
 from .part_analysis import analyze_part
@@ -211,10 +210,8 @@ def reformed_state(analysis: ModelAnalysis, placed, targets, db: Database,
             pi, pj = restore_report.foot_points[e.key()]
             cp = 0.5 * ((pi + restore_report.displacements[e.i])
                         + (pj + restore_report.displacements[e.j]))
-        new_e = type(e)(e.i, e.j, cp)
-        new_e.angle = estimate_contact_angle(descriptors[e.i], descriptors[e.j],
-                                             new_e, samples[e.i], samples[e.j])
-        graph.edges.append(new_e)
+        graph.edges.append(type(e)(e.i, e.j, cp))
+    annotate_contact_angles(graph, descriptors, samples)
     return ReformedState(placed=by_id, descriptors=descriptors, graph=graph,
                          materials=dict(targets),
                          repetition=analysis.repetition_graph)
@@ -489,10 +486,9 @@ def reformed_refresh(state: ReformedState, db, cfg) -> ReformedState:
         if e.is_ground:
             graph.edges.append(e)
             continue
-        new_e = type(e)(e.i, e.j, np.asarray(e.contact_point, dtype=float))
-        new_e.angle = estimate_contact_angle(descriptors[e.i], descriptors[e.j],
-                                             new_e, samples[e.i], samples[e.j])
-        graph.edges.append(new_e)
+        graph.edges.append(type(e)(e.i, e.j,
+                                   np.asarray(e.contact_point, dtype=float)))
+    annotate_contact_angles(graph, descriptors, samples)
     return ReformedState(placed=state.placed, descriptors=descriptors,
                          graph=graph, materials=state.materials,
                          repetition=state.repetition)

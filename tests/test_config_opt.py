@@ -216,9 +216,10 @@ def test_one_dof_rotation_to_intermediate_target():
 
 def test_no_binds_means_unchanged():
     parts, graph, constraints, _ = rotation_fixture()
-    cset = ConstraintSet(index=0, options={(0, 1): "rigid"}, binds=[],
+    cset = ConstraintSet(index=3, options={(0, 1): "rigid"}, binds=[],
                          moving=set(), fixed=set())
     config = optimize_configuration(cset, constraints, parts, graph)
+    assert config.index == 3
     assert np.allclose(config.segments[1], parts[1].segment)
     assert config.objective == pytest.approx((60.0 - 90.0) ** 2, abs=1e-9)
 

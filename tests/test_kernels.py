@@ -1,14 +1,54 @@
-"""The numba kernels and the numpy fallbacks must agree bit-for-bit on the
-decisions they feed (hits, nearest neighbors, occupancy)."""
-
-import os
-import subprocess
-import sys
+"""The numpy kernels against per-element references: Moller-Trumbore and
+point-in-box loops written out one ray, triangle, point and box at a time,
+and a dense distance matrix for nearest-point queries."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshreform import kernels
+
+
+def ray_first_hit_loops(origins, dirs, v0, v1, v2, min_t=1e-9):
+    out = np.full(origins.shape[0], np.inf)
+    for i, (o, d) in enumerate(zip(origins, dirs)):
+        for a, b, c in zip(v0, v1, v2):
+            e1, e2 = b - a, c - a
+            p = np.cross(d, e2)
+            det = float(e1 @ p)
+            if abs(det) <= kernels._EPS_DET:
+                continue
+            tv = o - a
+            u = float(tv @ p) / det
+            if u < -1e-12 or u > 1.0 + 1e-12:
+                continue
+            q = np.cross(tv, e1)
+            v = float(d @ q) / det
+            if v < -1e-12 or u + v > 1.0 + 1e-12:
+                continue
+            t = float(e2 @ q) / det
+            if min_t < t < out[i]:
+                out[i] = t
+    return out
+
+
+def points_in_boxes_loops(points, centers, axes, half_extents, tol=1e-9):
+    out = np.zeros(points.shape[0], dtype=bool)
+    for i, p in enumerate(points):
+        for c, ax, h in zip(centers, axes, half_extents):
+            if all(abs(float((p - c) @ ax[a])) <= h[a] + tol for a in range(3)):
+                out[i] = True
+                break
+    return out
+
+
+def oracle_nearest(query, ref):
+    """Row minima of the dense (n, m) squared-distance matrix."""
+    if ref.shape[0] == 0:
+        return np.full(query.shape[0], np.inf)
+    d = query[:, None, :] - ref[None, :, :]
+    return (d * d).sum(axis=-1).min(axis=1)
 
 
 @pytest.fixture
@@ -23,14 +63,14 @@ def tris():
 def test_ray_paths_agree(tris):
     rng = np.random.default_rng(4)
     origins = rng.normal(size=(100, 3))
-    dirs = rng.normal(size=(100, 3))
+    # aim most rays near a triangle's centroid so that hits and misses mix
+    centroids = sum(tris)[np.arange(100) % 40] / 3.0
+    dirs = centroids + rng.normal(scale=0.2, size=(100, 3)) - origins
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    a = kernels.ray_mesh_first_hit_numpy(origins, dirs, *tris)
-    b = kernels._ray_mesh_first_hit_loops(origins, dirs, *tris)
-    assert np.allclose(a, b, equal_nan=True)
-    if kernels.USE_NUMBA:
-        c = kernels.ray_mesh_first_hit_numba(origins, dirs, *tris)
-        assert np.allclose(a, c, equal_nan=True)
+    got = kernels.ray_mesh_first_hit(origins, dirs, *tris)
+    want = ray_first_hit_loops(origins, dirs, *tris)
+    assert 10 < np.isfinite(want).sum() < 100
+    assert np.allclose(got, want)
 
 
 def test_ray_simple_hit():
@@ -49,43 +89,68 @@ def test_nearest_paths_agree():
     rng = np.random.default_rng(5)
     q = rng.normal(size=(200, 3))
     r = rng.normal(size=(150, 3))
-    a = kernels.nearest_sq_dists_numpy(q, r)
-    b = kernels._nearest_sq_dists_loops(q, r)
-    assert np.allclose(a, b)
-    if kernels.USE_NUMBA:
-        c = kernels.nearest_sq_dists_numba(q, r)
-        assert np.allclose(a, c)
+    assert np.allclose(kernels.nearest_sq_dists(q, r), oracle_nearest(q, r))
 
 
 def test_capped_sum_matches_uncapped():
     rng = np.random.default_rng(6)
     q = rng.normal(size=(50, 3))
     r = rng.normal(size=(60, 3))
-    exact = kernels.nearest_sq_dists_numpy(q, r).sum()
+    exact = oracle_nearest(q, r).sum()
     got = kernels.nearest_sq_sum_capped(q, r, 1e30)
     assert abs(got - exact) < 1e-9
     assert np.isinf(kernels.nearest_sq_sum_capped(q, r, exact * 0.5))
-    assert np.isinf(kernels.nearest_sq_sum_capped_numpy(q, r, exact * 0.5))
+
+
+def test_empty_reference_is_infinitely_far():
+    q = np.zeros((3, 3))
+    empty = np.zeros((0, 3))
+    assert np.isinf(kernels.nearest_sq_dists(q, empty)).all()
+    assert np.isinf(kernels.nearest_sq_sum_capped(q, empty, 1e30))
+    assert np.isinf(kernels.nearest_sq_sum_capped(q, empty, np.inf))
+    assert kernels.nearest_sq_sum_capped(empty, empty, 1.0) == 0.0
 
 
 def test_points_in_boxes_paths_agree():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-2, 2, size=(500, 3))
     centers = rng.uniform(-1, 1, size=(3, 3))
-    axes = np.stack([np.eye(3)] * 3)
+    axes = np.stack([np.linalg.qr(rng.normal(size=(3, 3)))[0].T
+                     for _ in range(3)])
     half = rng.uniform(0.2, 1.0, size=(3, 3))
-    a = kernels.points_in_boxes_numpy(pts, centers, axes, half)
-    b = kernels._points_in_boxes_loops(pts, centers, axes, half)
-    assert (a == b).all()
-    if kernels.USE_NUMBA:
-        c = kernels.points_in_boxes_numba(pts, centers, axes, half)
-        assert (a == c).all()
+    got = kernels.points_in_boxes(pts, centers, axes, half)
+    want = points_in_boxes_loops(pts, centers, axes, half)
+    assert 0 < want.sum() < len(pts)
+    assert (got == want).all()
 
 
-def test_env_flag_selects_fallback():
-    code = ("import meshreform.kernels as k; "
-            "print(k.USE_NUMBA, k.ray_mesh_first_hit is k.ray_mesh_first_hit_numpy)")
-    env = dict(os.environ, MESHREFORM_NUMBA="0")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
+def _points(n):
+    return st.builds(
+        lambda seed: np.random.default_rng(seed).normal(size=(n, 3)),
+        st.integers(0, 2 ** 32 - 1))
+
+
+point_sets = st.integers(0, 40).flatmap(_points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(query=point_sets, ref=point_sets)
+def test_nearest_property(query, ref):
+    # einsum may add the three squared coordinates in another order
+    assert np.allclose(kernels.nearest_sq_dists(query, ref),
+                       oracle_nearest(query, ref), rtol=1e-14, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(query=point_sets, ref=point_sets,
+       slack=st.floats(0.0, 2.0, allow_nan=False))
+def test_capped_sum_property(query, ref, slack):
+    exact = float(oracle_nearest(query, ref).sum())
+    if not np.isfinite(exact):
+        assert np.isinf(kernels.nearest_sq_sum_capped(query, ref, 1e30))
+        return
+    # a cap at or above the sum never aborts, one below it always does
+    got = kernels.nearest_sq_sum_capped(query, ref, exact * (1.0 + slack) + 1e-9)
+    assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
+    if exact > 0:
+        assert np.isinf(kernels.nearest_sq_sum_capped(query, ref, exact * 0.999))
