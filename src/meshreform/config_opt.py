@@ -31,6 +31,10 @@ ENUMERATION_CAP = 4096
 KEEP_SLACK = 0.01
 NEW_CONTACT_FACTOR = 1.5
 END_ZONE = 0.35               # fraction of length counting as "at an end"
+SOLVER_MAX_ITERS = 500
+SOLVER_GTOL = 1e-8
+TIE_TOL = 1e-9                # relative objective tolerance of a selection tie
+BOX_CONTACT_SAMPLES = 17      # segment samples against a static part's box
 
 EDGE_OPTIONS = ("rigid", "slide_i", "slide_j", "rotate_i", "rotate_j")
 
@@ -45,7 +49,6 @@ class PartState:
     segment: np.ndarray          # (2, 3)
     thickness: float
     material: Material
-    has_ground: bool = False
     box: object = None           # optional OrientedBox
 
     def length(self):
@@ -78,14 +81,12 @@ class ConstraintSet:
     options: dict                # edge -> option string
     binds: list
     moving: set
-    fixed: set
 
 
 @dataclass
 class Configuration:
     index: int
     segments: dict               # part id -> (2, 3) final segment
-    slide_params: dict           # (edge, part) -> t
     objective: float             # selection objective: sum of kept-edge angle errors^2
     opt_value: float             # optimizer objective at the solution
     converged: bool
@@ -146,7 +147,7 @@ def _end_of(part: PartState, point):
 
 
 def determine_fixed_parts(parts: dict, graph: ContactGraph, constraints,
-                          repetition=None, end_zone=END_ZONE) -> set:
+                          repetition=None) -> set:
     """Initialization rule: fix parts with a contact-free end, and parts
     congruent to a part with no angle problem."""
     constrained_parts = {p for c in constraints for p in c.edge}
@@ -157,7 +158,7 @@ def determine_fixed_parts(parts: dict, graph: ContactGraph, constraints,
         for e in graph.edges_of(pid):
             cp = np.asarray(e.contact_point)
             k = _end_of(st, cp)
-            if np.linalg.norm(st.segment[k] - cp) <= end_zone * max(length, 1e-12):
+            if np.linalg.norm(st.segment[k] - cp) <= END_ZONE * max(length, 1e-12):
                 ends_hit[k] = True
         if not (ends_hit[0] and ends_hit[1]):
             fixed.add(pid)
@@ -259,7 +260,7 @@ def enumerate_configurations(constraints, graph: ContactGraph, parts: dict,
         if not ok:
             continue
         out.append(ConstraintSet(index=len(out), options=dict(zip(edges, combo)),
-                                 binds=binds, moving=moving, fixed=set(fixed)))
+                                 binds=binds, moving=moving))
         if len(out) >= cap:
             logger.warning("enumeration truncated at %d sets", cap)
             break
@@ -271,139 +272,84 @@ def enumerate_configurations(constraints, graph: ContactGraph, parts: dict,
 # ---------------------------------------------------------------------------
 
 class _Layout:
-    """Maps the flat variable vector to moving part endpoints.
+    """The affine map ``E = M x + c`` from the variable vector to every
+    part's endpoints (``M`` is (parts, 2, 3, variables), ``c`` is
+    (parts, 2, 3)).
 
-    End parameterizations:
-
-    * free: three coordinates.
-    * slide: one scalar t in [0, 1], endpoint lerped along the host segment.
+    * free end: three coordinates ``x[s:s+3]``.
+    * slide end: one scalar t in [0, 1], the endpoint ``h1 + t (h0 - h1)``
+      on the host segment.
     * rotate: the whole part is one direction vector d about the pivot,
       endpoints at ``pivot - s0 d`` and ``pivot + (1 - s0) d`` where s0 is
       the pivot's original parameter along the segment (so the contact point
       stays on the part while it swings).
+    * static end: a constant.
     """
 
     def __init__(self, cset: ConstraintSet, parts: dict):
-        self.parts = parts
-        self.ends = {}       # (part, end) -> descriptor tuple
+        self.row = {pid: k for k, pid in enumerate(parts)}
+        self.c = np.array([st.segment for st in parts.values()], dtype=float)
         self.x0 = []
         self.bounds = []
+        blocks = []          # (row, end, first variable, (3, width) block of M)
         bind_of = {(b.part, b.end): b for b in cset.binds}
         rotate_of = {b.part: b for b in cset.binds if b.kind == "rotate"}
         for pid in sorted(cset.moving):
-            st = parts[pid]
+            k = self.row[pid]
+            seg = parts[pid].segment
             if pid in rotate_of:
                 b = rotate_of[pid]
-                pivot = np.asarray(b.pivot, dtype=float)
-                s0 = b.pivot_param
                 slot = len(self.x0)
-                d0 = st.segment[1] - st.segment[0]
-                self.x0.extend(d0.tolist())
+                s0 = b.pivot_param
+                self.x0.extend((seg[1] - seg[0]).tolist())
                 self.bounds.extend([(None, None)] * 3)
-                self.ends[(pid, 0)] = ("rotate", pivot, -s0, slot)
-                self.ends[(pid, 1)] = ("rotate", pivot, 1.0 - s0, slot)
+                self.c[k] = b.pivot
+                blocks += [(k, 0, slot, -s0 * np.eye(3)),
+                           (k, 1, slot, (1.0 - s0) * np.eye(3))]
                 continue
             for end in (0, 1):
                 b = bind_of.get((pid, end))
+                slot = len(self.x0)
                 if b is None:
-                    slot = len(self.x0)
-                    self.x0.extend(st.segment[end].tolist())
+                    self.x0.extend(seg[end].tolist())
                     self.bounds.extend([(None, None)] * 3)
-                    self.ends[(pid, end)] = ("free", slot)
+                    self.c[k, end] = 0.0
+                    blocks.append((k, end, slot, np.eye(3)))
                 else:
-                    host = parts[b.host].segment
-                    h0, h1 = host[0], host[1]
+                    h0, h1 = parts[b.host].segment
                     d = h0 - h1
                     denom = float(d @ d)
-                    t0 = float((st.segment[end] - h1) @ d) / denom if denom > 0 else 0.5
-                    slot = len(self.x0)
+                    t0 = float((seg[end] - h1) @ d) / denom if denom > 0 else 0.5
                     self.x0.append(min(max(t0, 0.0), 1.0))
                     self.bounds.append((0.0, 1.0))
-                    self.ends[(pid, end)] = ("slide", (h0, h1), slot)
+                    self.c[k, end] = h1
+                    blocks.append((k, end, slot, d[:, None]))
         self.x0 = np.asarray(self.x0, dtype=float)
-
-    def endpoint(self, x, pid, end):
-        key = (pid, end)
-        if key not in self.ends:
-            return self.parts[pid].segment[end]
-        kind = self.ends[key]
-        if kind[0] == "rotate":
-            _, pivot, coef, slot = kind
-            return pivot + coef * x[slot:slot + 3]
-        if kind[0] == "slide":
-            (h0, h1), slot = kind[1], kind[2]
-            t = x[slot]
-            return t * h0 + (1.0 - t) * h1
-        return x[kind[1]:kind[1] + 3]
+        self.M = np.zeros(self.c.shape + (len(self.x0),))
+        for k, end, slot, block in blocks:
+            self.M[k, end, :, slot:slot + block.shape[1]] = block
 
     def segments(self, x):
-        segs = {pid: st.segment.copy() for pid, st in self.parts.items()}
-        for (pid, end) in self.ends:
-            segs[pid][end] = self.endpoint(x, pid, end)
-        return segs
-
-    def add_grad(self, grad, x, pid, end, g_world):
-        key = (pid, end)
-        if key not in self.ends:
-            return
-        kind = self.ends[key]
-        if kind[0] == "rotate":
-            _, _, coef, slot = kind
-            grad[slot:slot + 3] += coef * g_world
-        elif kind[0] == "slide":
-            (h0, h1), slot = kind[1], kind[2]
-            grad[slot] += float(g_world @ (h0 - h1))
-        else:
-            slot = kind[1]
-            grad[slot:slot + 3] += g_world
-
-    def slide_params(self, x):
-        out = {}
-        for (pid, end), kind in self.ends.items():
-            if kind[0] == "slide":
-                out[(pid, end)] = float(x[kind[2]])
-        return out
+        ends = self.M @ x + self.c
+        return {pid: ends[k] for pid, k in self.row.items()}
 
 
-def _angle_term(a_i, b_i, a_j, b_j, target):
-    """(theta - target)^2 in degrees^2 plus gradients wrt the 4 endpoints."""
-    di = b_i - a_i
-    dj = b_j - a_j
-    li = np.linalg.norm(di)
-    lj = np.linalg.norm(dj)
-    if li < 1e-12 or lj < 1e-12:
-        return 0.0, [np.zeros(3)] * 4
-    ui = di / li
-    uj = dj / lj
-    c = float(ui @ uj)
-    cc = min(abs(c), 1.0)
-    theta = np.degrees(np.arccos(cc))
-    diff = theta - target
-    val = diff * diff
-    s2 = 1.0 - c * c
-    if s2 < 1e-18:
-        return val, [np.zeros(3)] * 4
-    dtheta_dc = -(180.0 / np.pi) * np.sign(c) / np.sqrt(s2)
-    coef = 2.0 * diff * dtheta_dc
-    g_bi = coef * (uj - c * ui) / li
-    g_bj = coef * (ui - c * uj) / lj
-    return val, [-g_bi, g_bi, -g_bj, g_bj]   # a_i, b_i, a_j, b_j
-
-
-def make_objective(cset: ConstraintSet, constraints, parts: dict,
-                   w_l=ANGLE_WEIGHT_LENGTH, w_r=ANGLE_WEIGHT_REPULSE,
-                   sigma=REPULSE_SIGMA):
+def make_objective(cset: ConstraintSet, constraints, parts: dict):
     """Returns (layout, fun) with fun(x) -> (value, gradient).
 
     Terms: squared target-angle error for every constrained edge, length
     preservation for rotating parts, and repulsion between parts sliding on
-    the same two hosts (endpoints paired by host).
+    the same two hosts (endpoints paired by host). Each term reads
+    differences of two endpoints: segment directions for the angle and
+    length terms, the gaps between paired endpoints for repulsion. These
+    rows are affine in x too, ``y = L x + offset`` with ``L`` taken from the
+    layout's ``M``, so the gradient is ``L^T G`` for the rows' gradients G.
     """
     layout = _Layout(cset, parts)
     targets = {c.edge: c.target for c in constraints}
     rotating = sorted({b.part for b in cset.binds if b.kind == "rotate"})
-    ref_len2 = {pid: float(((parts[pid].segment[1] - parts[pid].segment[0]) ** 2).sum())
-                for pid in rotating}
+    ref_len2 = np.array([((parts[pid].segment[1] - parts[pid].segment[0]) ** 2).sum()
+                         for pid in rotating])
 
     # repulsion pairs: parts with two slide binds onto the same host pair
     slide_hosts = {}
@@ -411,50 +357,62 @@ def make_objective(cset: ConstraintSet, constraints, parts: dict,
         if b.kind == "slide":
             slide_hosts.setdefault(b.part, {})[b.host] = b.end
     sliders = {pid: hosts for pid, hosts in slide_hosts.items() if len(hosts) == 2}
-    rep_pairs = []
+    gaps = []            # ((m, end), (n, end)) for every paired endpoint
     for m, n in itertools.combinations(sorted(sliders), 2):
         if set(sliders[m]) == set(sliders[n]):
-            pairing = [(sliders[m][h], sliders[n][h]) for h in sorted(sliders[m])]
-            rep_pairs.append((m, n, pairing))
+            gaps += [((m, sliders[m][h]), (n, sliders[n][h])) for h in sorted(sliders[m])]
+
+    # rows of y: directions of both sides of every constrained edge, then of
+    # the rotating parts, then the repulsion gaps; each row is E[plus] - E[minus]
+    directions = [i for i, _ in targets] + [j for _, j in targets] + rotating
+    rows = [((pid, 1), (pid, 0)) for pid in directions] + gaps
+    flat = [(2 * layout.row[p] + e, 2 * layout.row[q] + f) for (p, e), (q, f) in rows]
+    plus, minus = np.array(flat, dtype=int).reshape(-1, 2).T
+    n_x = len(layout.x0)
+    M = layout.M.reshape(-1, 3, n_x)
+    c = layout.c.reshape(-1, 3)
+    L = (M[plus] - M[minus]).reshape(-1, n_x)
+    offset = (c[plus] - c[minus]).ravel()
+    target = np.array(list(targets.values()), dtype=float)
+    n_e = len(targets)
+    lengths = slice(2 * n_e, 2 * n_e + len(rotating))
+    repulse = slice(lengths.stop, None)
+    inv_s2 = 1.0 / REPULSE_SIGMA ** 2
 
     def fun(x):
-        val = 0.0
-        grad = np.zeros_like(x)
-        ends = {}
+        y = (L @ x + offset).reshape(-1, 3)
+        g = np.zeros_like(y)
 
-        def endpoint(pid, end):
-            if (pid, end) not in ends:
-                ends[(pid, end)] = np.asarray(layout.endpoint(x, pid, end), dtype=float)
-            return ends[(pid, end)]
+        # angle terms, the two sides of edge k in d[0, k] and d[1, k]; a term
+        # with a segment shorter than 1e-12 is left out, and parallel
+        # segments (1 - c^2 < 1e-18) add their value but no gradient
+        d = y[:2 * n_e].reshape(2, n_e, 3)
+        length = np.sqrt(np.einsum("sij,sij->si", d, d))
+        ok = (length >= 1e-12).all(axis=0)
+        length = np.where(ok, length, 1.0)[..., None]
+        u = d / length
+        cos = np.einsum("ij,ij->i", u[0], u[1])
+        theta = np.degrees(np.arccos(np.minimum(np.abs(cos), 1.0)))
+        diff = np.where(ok, theta - target, 0.0)
+        val = float(diff @ diff)
+        s2 = 1.0 - cos * cos
+        live = s2 >= 1e-18
+        dtheta_dc = -(180.0 / np.pi) * np.sign(cos) / np.sqrt(np.where(live, s2, 1.0))
+        coef = np.where(live, 2.0 * diff * dtheta_dc, 0.0)[:, None]
+        g[:2 * n_e] = (coef * (u[::-1] - cos[:, None] * u) / length).reshape(-1, 3)
 
-        for (i, j), target in targets.items():
-            a_i, b_i = endpoint(i, 0), endpoint(i, 1)
-            a_j, b_j = endpoint(j, 0), endpoint(j, 1)
-            v, gs = _angle_term(a_i, b_i, a_j, b_j, target)
-            val += v
-            for (pid, end), g in zip(((i, 0), (i, 1), (j, 0), (j, 1)), gs):
-                layout.add_grad(grad, x, pid, end, g)
+        if rotating:        # length preservation
+            dr = y[lengths]
+            dl = np.einsum("ij,ij->i", dr, dr) - ref_len2
+            val += ANGLE_WEIGHT_LENGTH * float(dl @ dl)
+            g[lengths] = (4.0 * ANGLE_WEIGHT_LENGTH) * dl[:, None] * dr
 
-        for pid in rotating:
-            d = endpoint(pid, 1) - endpoint(pid, 0)
-            l2 = float(d @ d)
-            diff = l2 - ref_len2[pid]
-            val += w_l * diff * diff
-            g = w_l * 4.0 * diff * d
-            layout.add_grad(grad, x, pid, 1, g)
-            layout.add_grad(grad, x, pid, 0, -g)
-
-        for m, n, pairing in rep_pairs:
-            e_m = [endpoint(m, em) for em, _ in pairing]
-            e_n = [endpoint(n, en) for _, en in pairing]
-            diffs = [e_m[k] - e_n[k] for k in range(2)]
-            exps = [np.exp(-float(d @ d) / sigma ** 2) for d in diffs]
-            val += w_r * exps[0] * exps[1]
-            for k in range(2):
-                g = w_r * exps[0] * exps[1] * (-2.0 / sigma ** 2) * diffs[k]
-                layout.add_grad(grad, x, m, pairing[k][0], g)
-                layout.add_grad(grad, x, n, pairing[k][1], -g)
-        return val, grad
+        if gaps:            # w_r exp(-(|gap_0|^2 + |gap_1|^2) / sigma^2) per pair
+            gap = y[repulse].reshape(-1, 2, 3)
+            rep = ANGLE_WEIGHT_REPULSE * np.exp(-np.einsum("kij,kij->k", gap, gap) * inv_s2)
+            val += float(rep.sum())
+            g[repulse] = ((-2.0 * inv_s2) * rep[:, None, None] * gap).reshape(-1, 3)
+        return val, L.T @ g.ravel()
 
     return layout, fun
 
@@ -503,7 +461,7 @@ def _point_box_distance(points, box):
     return np.sqrt((outside * outside).sum(axis=1))
 
 
-def _pair_distance(parts, segments, i, j, moving, samples=17):
+def _pair_distance(parts, segments, i, j, moving):
     """Distance between two parts' stand-ins plus a contact location.
 
     Moving parts are their (current) segments; static parts use their box
@@ -515,14 +473,13 @@ def _pair_distance(parts, segments, i, j, moving, samples=17):
     use_box_j = parts[j].box is not None and j not in moving
     si, sj = segments[i], segments[j]
     if use_box_i and not use_box_j:
-        ts = np.linspace(0.0, 1.0, samples)
+        ts = np.linspace(0.0, 1.0, BOX_CONTACT_SAMPLES)
         pts = sj[0][None, :] + ts[:, None] * (sj[1] - sj[0])[None, :]
         d = _point_box_distance(pts, parts[i].box)
         k = int(np.argmin(d))
         return float(d[k]), pts[k], 0.5 * parts[j].thickness
     if use_box_j and not use_box_i:
-        d, cp, radius = _pair_distance(parts, segments, j, i, moving, samples)
-        return d, cp, radius
+        return _pair_distance(parts, segments, j, i, moving)
     if use_box_i and use_box_j:
         # both static boxes: contact state cannot have changed
         d, cp, cq = segment_distance(si[0], si[1], sj[0], sj[1])
@@ -531,7 +488,7 @@ def _pair_distance(parts, segments, i, j, moving, samples=17):
     return d, 0.5 * (cp + cq), 0.5 * (parts[i].thickness + parts[j].thickness)
 
 
-def _survival(cset, segments, parts, graph, d_c, keep_slack=KEEP_SLACK):
+def _survival(cset, segments, parts, graph, d_c):
     """Classify contacts after a solve: kept / dropped / new, plus support
     points for the no-hanging check."""
     bound = {b.edge for b in cset.binds}
@@ -563,7 +520,7 @@ def _survival(cset, segments, parts, graph, d_c, keep_slack=KEEP_SLACK):
             continue
         d_before, _, _ = _pair_distance(parts, before, i, j, moving)
         d_after, cp, _ = _pair_distance(parts, segments, i, j, moving)
-        if d_after <= d_before + keep_slack:
+        if d_after <= d_before + KEEP_SLACK:
             kept.append((i, j))
             supports[i].append(cp)
             supports[j].append(cp)
@@ -578,7 +535,7 @@ def _survival(cset, segments, parts, graph, d_c, keep_slack=KEEP_SLACK):
             continue
         zb = min(before[pid][0][2], before[pid][1][2]) - z_ground
         za = min(segments[pid][0][2], segments[pid][1][2]) - z_ground
-        if pid not in moving or za <= zb + keep_slack:
+        if pid not in moving or za <= zb + KEEP_SLACK:
             low = segments[pid][int(segments[pid][1][2] < segments[pid][0][2])]
             supports[pid].append(np.array([low[0], low[1], z_ground]))
         else:
@@ -611,32 +568,24 @@ def _survival(cset, segments, parts, graph, d_c, keep_slack=KEEP_SLACK):
 
 def optimize_configuration(cset: ConstraintSet, constraints, parts: dict,
                            graph: ContactGraph, db=None, materials=None,
-                           d_c=0.01, max_iters=500, gtol=1e-8) -> Configuration:
-    """Solve one constraint set by projected gradient (L-BFGS-B with box
-    bounds on the slide parameters) from the current configuration."""
+                           d_c=0.01) -> Configuration:
+    """Solve one constraint set from the current configuration by L-BFGS-B
+    over the affine endpoint map, with box bounds [0, 1] on the slide
+    parameters."""
     targets = {c.edge: c.target for c in constraints}
     if not cset.binds:
         return replace(all_rigid_configuration(constraints, parts, db, materials),
                        index=cset.index)
 
     layout, fun = make_objective(cset, constraints, parts)
-    if len(layout.x0) == 0:
-        # every moving endpoint is pinned: nothing to optimize
-        x = layout.x0
-        opt_value, _ = fun(x)
-        converged = True
-    else:
-        res = minimize(fun, layout.x0, jac=True, method="L-BFGS-B",
-                       bounds=layout.bounds,
-                       options={"maxiter": max_iters, "gtol": gtol, "ftol": 1e-18})
-        if not res.success and "ITERATIONS" not in str(res.message).upper():
-            logger.warning("configuration %d: optimizer stopped: %s",
-                           cset.index, res.message)
-        x = res.x
-        opt_value = float(res.fun)
-        converged = bool(res.success)
+    res = minimize(fun, layout.x0, jac=True, method="L-BFGS-B", bounds=layout.bounds,
+                   options={"maxiter": SOLVER_MAX_ITERS, "gtol": SOLVER_GTOL,
+                            "ftol": 1e-18})
+    if not res.success and "ITERATIONS" not in str(res.message).upper():
+        logger.warning("configuration %d: optimizer stopped: %s",
+                       cset.index, res.message)
 
-    segments = layout.segments(x)
+    segments = layout.segments(res.x)
     kept, dropped, new, dropped_ground, no_hanging = _survival(
         cset, segments, parts, graph, d_c)
     kept_set = set(kept)
@@ -645,9 +594,8 @@ def optimize_configuration(cset: ConstraintSet, constraints, parts: dict,
     objective = sum(r["error_sq"] for r in report if tuple(r["edge"]) in kept_set)
     return Configuration(
         index=cset.index, segments=segments,
-        slide_params=layout.slide_params(x),
-        objective=float(objective), opt_value=opt_value,
-        converged=converged, dropped_edges=dropped, new_contacts=new,
+        objective=float(objective), opt_value=float(res.fun),
+        converged=bool(res.success), dropped_edges=dropped, new_contacts=new,
         kept_edges=kept, feasibility_report=report,
         moved_parts=sorted(cset.moving), no_hanging_ok=no_hanging,
         dropped_ground=dropped_ground)
@@ -678,7 +626,7 @@ def _feasibility_report(segments, targets, parts, materials, db, restrict=None):
     return out
 
 
-def select_best_configuration(configs: list, tie_tol=1e-9) -> Configuration:
+def select_best_configuration(configs: list) -> Configuration:
     """Minimum objective among no-hanging configurations; ties go to fewer
     dropped contacts, then the smaller enumeration index."""
     if not configs:
@@ -687,7 +635,7 @@ def select_best_configuration(configs: list, tie_tol=1e-9) -> Configuration:
     if not valid:
         raise ValueError("no configuration satisfies the support rule")
     best_obj = min(c.objective for c in valid)
-    tied = [c for c in valid if c.objective <= best_obj + tie_tol * max(1.0, abs(best_obj))]
+    tied = [c for c in valid if c.objective <= best_obj + TIE_TOL * max(1.0, abs(best_obj))]
     tied.sort(key=lambda c: (len(c.dropped_edges) + len(c.dropped_ground), c.index))
     return tied[0]
 
@@ -698,7 +646,7 @@ def all_rigid_configuration(constraints, parts: dict, db=None, materials=None) -
     targets = {c.edge: c.target for c in constraints}
     report = _feasibility_report(segments, targets, parts, materials, db)
     obj = sum(r["error_sq"] for r in report)
-    return Configuration(index=-1, segments=segments, slide_params={},
+    return Configuration(index=-1, segments=segments,
                          objective=float(obj), opt_value=float(obj), converged=True,
                          dropped_edges=[], new_contacts=[],
                          kept_edges=[c.edge for c in constraints],

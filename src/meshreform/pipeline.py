@@ -221,11 +221,10 @@ def optimize_angles(state: ReformedState, db: Database, cfg: PipelineConfig):
     """Angle feasibility assessment, enumeration, optimization, selection.
     Returns (selected Configuration or None, constraints, configs)."""
     parts = {}
-    ground_parts = {e.i for e in state.graph.ground_edges()}
     for pid, desc in state.descriptors.items():
         parts[pid] = config_opt.PartState(
             id=pid, segment=desc.segment.copy(), thickness=desc.thickness,
-            material=state.materials[pid], has_ground=pid in ground_parts,
+            material=state.materials[pid],
             box=None if desc.is_linear else desc.obb)
     constraints = config_opt.assess_angle_feasibility(
         state.graph, state.materials, db, threshold=cfg.feasibility_threshold)

@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from meshreform.config_opt import (AngleConstraint, Bind, ConstraintSet,
-                                   PartState, all_rigid_configuration,
+from meshreform.config_opt import (ANGLE_WEIGHT_LENGTH, ANGLE_WEIGHT_REPULSE,
+                                   REPULSE_SIGMA, AngleConstraint, Bind,
+                                   ConstraintSet, PartState,
+                                   all_rigid_configuration,
                                    assess_angle_feasibility,
                                    determine_fixed_parts,
                                    enumerate_configurations, make_objective,
@@ -19,9 +22,9 @@ def seg(a, b):
     return np.array([a, b], dtype=float)
 
 
-def state(pid, a, b, thickness=0.02, material=Material.WOOD, ground=False):
+def state(pid, a, b, thickness=0.02, material=Material.WOOD):
     return PartState(id=pid, segment=seg(a, b), thickness=thickness,
-                     material=material, has_ground=ground)
+                     material=material)
 
 
 def edge(i, j, cp, angle=None):
@@ -60,9 +63,9 @@ def test_mixed_material_edges_never_constrained(small_db):
 def cross_fixture():
     """Vertical host with ground support, movable bar resting on it."""
     parts = {
-        0: state(0, [0, 0, 0], [0, 0, 1], ground=True),          # host post
-        1: state(1, [-0.5, 0.02, 0.5], [0.5, 0.02, 0.9]),        # slanted bar
-        2: state(2, [0, -0.6, 0], [0, 0.6, 0]),                  # base rail
+        0: state(0, [0, 0, 0], [0, 0, 1]),                  # host post
+        1: state(1, [-0.5, 0.02, 0.5], [0.5, 0.02, 0.9]),   # slanted bar
+        2: state(2, [0, -0.6, 0], [0, 0.6, 0]),             # base rail
     }
     graph = ContactGraph(nodes=[0, 1, 2], edges=[
         edge(0, 1, [0, 0.01, 0.7], angle=55.0),
@@ -104,8 +107,8 @@ def test_symmetric_partner_without_problem_fixes_part():
     both of its ends have contacts."""
     from meshreform.graphs import RepetitionGraph
     parts = {
-        0: state(0, [0, 0, 0], [0, 0, 1], ground=True),
-        1: state(1, [1, 0, 0], [1, 0, 1], ground=True),
+        0: state(0, [0, 0, 0], [0, 0, 1]),
+        1: state(1, [1, 0, 0], [1, 0, 1]),
         2: state(2, [-0.5, 0, 1], [1.5, 0, 1]),
     }
     graph = ContactGraph(nodes=[0, 1, 2], edges=[
@@ -135,8 +138,8 @@ def test_hosts_must_stay_static():
 def test_two_ends_not_on_contacting_hosts():
     parts = {
         0: state(0, [-0.5, 0, 0.5], [0.5, 0, 0.5]),
-        1: state(1, [-0.5, 0, 0], [-0.5, 0, 1], ground=True),
-        2: state(2, [0.5, 0, 0], [0.5, 0, 1], ground=True),
+        1: state(1, [-0.5, 0, 0], [-0.5, 0, 1]),
+        2: state(2, [0.5, 0, 0], [0.5, 0, 1]),
     }
     graph = ContactGraph(nodes=[0, 1, 2], edges=[
         edge(0, 1, [-0.5, 0, 0.5], angle=50.0),
@@ -161,8 +164,8 @@ def test_enumeration_cap():
     for k in range(6):
         a, b = 2 * k, 2 * k + 1
         z = 0.1 * k
-        parts[a] = state(a, [0, k, z], [1, k, z], ground=True)
-        parts[b] = state(b, [0.5, k - 0.4, z], [0.5, k + 0.4, z], ground=True)
+        parts[a] = state(a, [0, k, z], [1, k, z])
+        parts[b] = state(b, [0.5, k - 0.4, z], [0.5, k + 0.4, z])
         graph_edges.append(edge(a, b, [0.5, k, z], angle=50.0))
         graph_edges.append(ContactEdge(a, GROUND_ID, np.array([0.0, k, z]), None, True))
         graph_edges.append(ContactEdge(b, GROUND_ID, np.array([0.5, k - 0.4, z]), None, True))
@@ -181,8 +184,8 @@ def rotation_fixture(theta0=60.0, target=90.0):
     the bar's elevation is exactly the contact angle."""
     th = math.radians(theta0)
     parts = {
-        0: state(0, [-1, 0, 0], [1, 0, 0], ground=True),                 # host
-        1: state(1, [0, 0, 0], [math.cos(th), 0, math.sin(th)]),         # bar
+        0: state(0, [-1, 0, 0], [1, 0, 0]),                         # host
+        1: state(1, [0, 0, 0], [math.cos(th), 0, math.sin(th)]),    # bar
     }
     graph = ContactGraph(nodes=[0, 1], edges=[
         edge(0, 1, [0, 0, 0], angle=theta0),
@@ -192,7 +195,7 @@ def rotation_fixture(theta0=60.0, target=90.0):
     cset = ConstraintSet(index=0, options={(0, 1): "rotate_j"},
                          binds=[Bind(part=1, end=0, kind="rotate", edge=(0, 1),
                                      host=0, pivot=np.zeros(3), pivot_param=0.0)],
-                         moving={1}, fixed={0})
+                         moving={1})
     return parts, graph, constraints, cset
 
 
@@ -217,56 +220,63 @@ def test_one_dof_rotation_to_intermediate_target():
 def test_no_binds_means_unchanged():
     parts, graph, constraints, _ = rotation_fixture()
     cset = ConstraintSet(index=3, options={(0, 1): "rigid"}, binds=[],
-                         moving=set(), fixed=set())
+                         moving=set())
     config = optimize_configuration(cset, constraints, parts, graph)
     assert config.index == 3
     assert np.allclose(config.segments[1], parts[1].segment)
     assert config.objective == pytest.approx((60.0 - 90.0) ** 2, abs=1e-9)
 
 
+def on_segment(part, t):
+    return part.segment[0] + t * (part.segment[1] - part.segment[0])
+
+
 def test_gradients_match_finite_differences():
+    """Analytic gradients against central differences on random sets. About
+    half of the draws come from ``random_objective_case``; those carry
+    the repulsion twins more often than not, and their targets sit half a
+    degree off the angles at the evaluation point so that repulsion carries
+    a visible share of the gradient."""
     rng = np.random.default_rng(30)
     checked = 0
+    checked_repulsion = 0
     trials = 0
     while checked < 50 and trials < 200:
         trials += 1
-        parts = {}
-        n_hosts = 3
-        for h in range(n_hosts):
-            a = rng.normal(size=3)
-            b = a + rng.normal(size=3)
-            parts[h] = state(h, a, b, ground=True)
-        movers = []
-        binds = []
-        cons = []
-        graph_edges = []
-        for m in range(n_hosts, n_hosts + 2):
-            a = rng.normal(size=3)
-            b = a + rng.normal(size=3) * 1.5
-            parts[m] = state(m, a, b)
-            host = int(rng.integers(0, n_hosts))
-            e = (min(m, host), max(m, host))
-            cp = parts[m].segment[rng.integers(0, 2)].copy()
-            graph_edges.append(edge(*e, cp, angle=50.0))
-            cons.append(AngleConstraint(e, 50.0, 80.0, 0.0))
-            if rng.random() < 0.5:
-                s = float(rng.uniform(0.1, 0.9))
-                binds.append(Bind(part=m, end=0, kind="rotate", edge=e, host=host,
-                                  pivot=cp + rng.normal(scale=0.1, size=3),
-                                  pivot_param=s))
-            else:
-                binds.append(Bind(part=m, end=int(rng.integers(0, 2)),
-                                  kind="slide", edge=e, host=host))
-            movers.append(m)
-        cset = ConstraintSet(index=0, options={}, binds=binds,
-                             moving=set(movers), fixed=set(range(n_hosts)))
+        drawn = rng.random() < 0.5
+        if drawn:
+            cset, cons, parts = random_objective_case(rng, False, False)
+        else:
+            parts = {}
+            n_hosts = 3
+            for h in range(n_hosts):
+                a = rng.normal(size=3)
+                b = a + rng.normal(size=3)
+                parts[h] = state(h, a, b)
+            movers = [n_hosts, n_hosts + 1]
+            binds = []
+            cons = []
+            for m in movers:
+                a = rng.normal(size=3)
+                b = a + rng.normal(size=3) * 1.5
+                parts[m] = state(m, a, b)
+                host = int(rng.integers(0, n_hosts))
+                e = (min(m, host), max(m, host))
+                cp = parts[m].segment[rng.integers(0, 2)].copy()
+                cons.append(AngleConstraint(e, 50.0, 80.0, 0.0))
+                if rng.random() < 0.5:
+                    s = float(rng.uniform(0.1, 0.9))
+                    binds.append(Bind(part=m, end=0, kind="rotate", edge=e, host=host,
+                                      pivot=cp + rng.normal(scale=0.1, size=3),
+                                      pivot_param=s))
+                else:
+                    binds.append(Bind(part=m, end=int(rng.integers(0, 2)),
+                                      kind="slide", edge=e, host=host))
+            cset = ConstraintSet(index=0, options={}, binds=binds, moving=set(movers))
         layout, fun = make_objective(cset, cons, parts)
-        if len(layout.x0) == 0:
-            continue
-        x = layout.x0 + rng.normal(scale=0.05, size=len(layout.x0))
+        x = layout.x0 + rng.normal(scale=0.01 if drawn else 0.05, size=len(layout.x0))
         x = np.clip(x, [b[0] if b[0] is not None else -np.inf for b in layout.bounds],
                     [b[1] if b[1] is not None else np.inf for b in layout.bounds])
-        val, grad = fun(x)
         # skip configurations at the angle fold (non-differentiable measure zero)
         segs = layout.segments(x)
         skip = False
@@ -278,6 +288,12 @@ def test_gradients_match_finite_differences():
                 skip = True
         if skip:
             continue
+        if drawn:
+            cons = [AngleConstraint(c.edge, c.angle,
+                                    _segment_angle(segs[c.edge[0]], segs[c.edge[1]]) + 0.5,
+                                    0.0) for c in cons]
+            layout, fun = make_objective(cset, cons, parts)
+        val, grad = fun(x)
         fd = np.zeros_like(x)
         eps = 1e-6
         for k in range(len(x)):
@@ -289,15 +305,204 @@ def test_gradients_match_finite_differences():
         denom = max(np.linalg.norm(fd), 1e-10)
         assert np.linalg.norm(grad - fd) / denom < 1e-4
         checked += 1
+        checked_repulsion += 5 in cset.moving
     assert checked == 50
+    assert checked_repulsion >= 5
+
+
+# ---------------------------------------------------------------------------
+# reference objective: the same terms, one edge and one endpoint at a time
+# ---------------------------------------------------------------------------
+
+def reference_objective(cset, constraints, parts):
+    """fun(x) -> (value, gradient) in the per-edge form: each endpoint is
+    dispatched on its kind (rotate, slide, free or static), each angle term
+    is evaluated on its four endpoints, and every endpoint gradient is
+    scattered back into the variables. Variables are laid out as in
+    ``make_objective``: moving parts in id order, three for a rotating part,
+    then per end one slide parameter or three free coordinates."""
+    ends = {}                    # (part, end) -> (kind, first variable, data)
+    bind_of = {(b.part, b.end): b for b in cset.binds}
+    rotate_of = {b.part: b for b in cset.binds if b.kind == "rotate"}
+    n = 0
+    for pid in sorted(cset.moving):
+        if pid in rotate_of:
+            b = rotate_of[pid]
+            ends[(pid, 0)] = ("rotate", n, (b.pivot, -b.pivot_param))
+            ends[(pid, 1)] = ("rotate", n, (b.pivot, 1.0 - b.pivot_param))
+            n += 3
+            continue
+        for end in (0, 1):
+            b = bind_of.get((pid, end))
+            if b is None:
+                ends[(pid, end)] = ("free", n, None)
+                n += 3
+            else:
+                ends[(pid, end)] = ("slide", n, parts[b.host].segment)
+                n += 1
+
+    def endpoint(x, pid, end):
+        kind, slot, data = ends.get((pid, end), ("static", 0, None))
+        if kind == "rotate":
+            return data[0] + data[1] * x[slot:slot + 3]
+        if kind == "slide":
+            return x[slot] * data[0] + (1.0 - x[slot]) * data[1]
+        if kind == "free":
+            return x[slot:slot + 3]
+        return parts[pid].segment[end]
+
+    def add_grad(grad, pid, end, g):
+        kind, slot, data = ends.get((pid, end), ("static", 0, None))
+        if kind == "rotate":
+            grad[slot:slot + 3] += data[1] * g
+        elif kind == "slide":
+            grad[slot] += float(g @ (data[0] - data[1]))
+        elif kind == "free":
+            grad[slot:slot + 3] += g
+
+    def angle_term(a_i, b_i, a_j, b_j, target):
+        di, dj = b_i - a_i, b_j - a_j
+        li, lj = np.linalg.norm(di), np.linalg.norm(dj)
+        if li < 1e-12 or lj < 1e-12:
+            return 0.0, [np.zeros(3)] * 4
+        ui, uj = di / li, dj / lj
+        c = float(ui @ uj)
+        diff = np.degrees(np.arccos(min(abs(c), 1.0))) - target
+        s2 = 1.0 - c * c
+        if s2 < 1e-18:
+            return diff * diff, [np.zeros(3)] * 4
+        coef = 2.0 * diff * -(180.0 / np.pi) * np.sign(c) / np.sqrt(s2)
+        g_bi = coef * (uj - c * ui) / li
+        g_bj = coef * (ui - c * uj) / lj
+        return diff * diff, [-g_bi, g_bi, -g_bj, g_bj]
+
+    targets = {c.edge: c.target for c in constraints}
+    rotating = sorted({b.part for b in cset.binds if b.kind == "rotate"})
+    slide_hosts = {}
+    for b in cset.binds:
+        if b.kind == "slide":
+            slide_hosts.setdefault(b.part, {})[b.host] = b.end
+    sliders = {pid: hosts for pid, hosts in slide_hosts.items() if len(hosts) == 2}
+    rep_pairs = [(m, n, [(sliders[m][h], sliders[n][h]) for h in sorted(sliders[m])])
+                 for m, n in itertools.combinations(sorted(sliders), 2)
+                 if set(sliders[m]) == set(sliders[n])]
+
+    def fun(x):
+        val = 0.0
+        grad = np.zeros_like(x)
+        for (i, j), target in targets.items():
+            v, gs = angle_term(endpoint(x, i, 0), endpoint(x, i, 1),
+                               endpoint(x, j, 0), endpoint(x, j, 1), target)
+            val += v
+            for (pid, end), g in zip(((i, 0), (i, 1), (j, 0), (j, 1)), gs):
+                add_grad(grad, pid, end, g)
+        for pid in rotating:
+            d = endpoint(x, pid, 1) - endpoint(x, pid, 0)
+            ref = parts[pid].segment[1] - parts[pid].segment[0]
+            diff = float(d @ d) - float(ref @ ref)
+            val += ANGLE_WEIGHT_LENGTH * diff * diff
+            add_grad(grad, pid, 1, ANGLE_WEIGHT_LENGTH * 4.0 * diff * d)
+            add_grad(grad, pid, 0, -ANGLE_WEIGHT_LENGTH * 4.0 * diff * d)
+        for m, n, pairing in rep_pairs:
+            gaps = [endpoint(x, m, em) - endpoint(x, n, en) for em, en in pairing]
+            w = ANGLE_WEIGHT_REPULSE * np.prod([np.exp(-float(d @ d) / REPULSE_SIGMA ** 2)
+                                                for d in gaps])
+            val += w
+            for (em, en), d in zip(pairing, gaps):
+                g = w * (-2.0 / REPULSE_SIGMA ** 2) * d
+                add_grad(grad, m, em, g)
+                add_grad(grad, n, en, -g)
+        return val, grad
+
+    return fun
+
+
+def random_objective_case(rng, parallel, zero_length):
+    """Three static hosts and up to three kinds of movers: a part rotating
+    about a pivot on itself, bound to host 0 (id 3); a part sliding one end
+    on host 1 with the other end free (id 4); and twin parts sliding both
+    ends onto hosts 0 and 1 (ids 5, 6: a repulsion pair). With ``parallel``
+    host 0 runs along z and the caller turns the rotating part onto z; with
+    ``zero_length`` host 2 is a point and is constrained against a mover."""
+    parts = {h: state(h, p, p + rng.normal(size=3))
+             for h, p in enumerate(rng.normal(size=(3, 3)))}
+    if parallel:
+        parts[0] = state(0, [0, 0, 0], [0, 0, 1.5])
+    if zero_length:
+        parts[2] = state(2, parts[2].segment[0], parts[2].segment[0])
+    binds, cons = [], []
+
+    def constrain(host, m):
+        cons.append(AngleConstraint((host, m), 50.0, float(rng.uniform(60, 90)), 0.0))
+
+    present = rng.random(3) < 0.6
+    present[0] |= parallel
+    if not present.any():
+        present[1] = True
+    if present[0]:
+        a = rng.normal(size=3)
+        parts[3] = state(3, a, a + rng.normal(size=3))
+        s0 = float(rng.uniform(0.1, 0.9))
+        binds.append(Bind(part=3, end=0, kind="rotate", edge=(0, 3), host=0,
+                          pivot=on_segment(parts[3], s0), pivot_param=s0))
+        constrain(0, 3)
+        constrain(1, 3)
+    if present[1]:
+        a = on_segment(parts[1], rng.uniform(0.2, 0.8))
+        parts[4] = state(4, a, a + rng.normal(size=3))
+        binds.append(Bind(part=4, end=0, kind="slide", edge=(1, 4), host=1))
+        constrain(1, 4)
+    if present[2]:
+        at = rng.uniform(0.2, 0.8, size=2)
+        for m in (5, 6):
+            t = at + rng.normal(scale=0.02, size=2)
+            parts[m] = state(m, on_segment(parts[0], t[0]), on_segment(parts[1], t[1]))
+            for end, host in ((0, 0), (1, 1)):
+                binds.append(Bind(part=m, end=end, kind="slide", edge=(host, m),
+                                  host=host))
+                constrain(host, m)
+    movers = {b.part for b in binds}
+    constrain(2, min(movers))
+    cons.append(AngleConstraint((0, 1), 50.0, 80.0, 0.0))    # two static parts
+    cset = ConstraintSet(index=0, options={}, binds=binds, moving=movers)
+    return cset, cons, parts
+
+
+def test_objective_matches_per_edge_reference():
+    rng = np.random.default_rng(8)
+    seen = {"rotate": 0, "slide": 0, "free": 0, "repulsion": 0,
+            "zero_length": 0, "parallel": 0}
+    for _ in range(60):
+        parallel, zero_length = rng.random(2) < 0.3
+        cset, cons, parts = random_objective_case(rng, parallel, zero_length)
+        layout, fun = make_objective(cset, cons, parts)
+        reference = reference_objective(cset, cons, parts)
+        lo = [b[0] if b[0] is not None else -np.inf for b in layout.bounds]
+        hi = [b[1] if b[1] is not None else np.inf for b in layout.bounds]
+        for _ in range(3):
+            x = np.clip(layout.x0 + rng.normal(scale=0.02, size=len(layout.x0)), lo, hi)
+            if parallel:        # the rotating part's direction, along host 0
+                x[0:3] = [0.0, 0.0, rng.uniform(0.5, 2.0)]
+            val, grad = fun(x)
+            ref_val, ref_grad = reference(x)
+            assert abs(val - ref_val) <= 1e-12 * max(abs(ref_val), 1.0)
+            assert np.linalg.norm(grad - ref_grad) <= 1e-12 * max(np.linalg.norm(ref_grad), 1.0)
+        kinds = {b.kind for b in cset.binds}
+        seen["rotate"] += "rotate" in kinds
+        seen["slide"] += "slide" in kinds
+        seen["free"] += 4 in cset.moving
+        seen["repulsion"] += 5 in cset.moving
+        seen["zero_length"] += bool(zero_length)
+        seen["parallel"] += bool(parallel)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_repulsion_keeps_sliders_apart():
     """Two rungs sliding on the same two rails; oracle is a dense grid over
     the two symmetric slide positions."""
     parts = {
-        0: state(0, [0, 0, 0], [1, 0, 0], ground=True),     # rail u
-        1: state(1, [0, 1, 0], [1, 1, 0], ground=True),     # rail v
+        0: state(0, [0, 0, 0], [1, 0, 0]),                  # rail u
+        1: state(1, [0, 1, 0], [1, 1, 0]),                  # rail v
         2: state(2, [0.48, 0, 0.02], [0.48, 1, 0.02]),      # rung m
         3: state(3, [0.52, 0, 0.02], [0.52, 1, 0.02]),      # rung n
     }
@@ -317,8 +522,7 @@ def test_repulsion_keeps_sliders_apart():
              Bind(part=2, end=1, kind="slide", edge=(1, 2), host=1),
              Bind(part=3, end=0, kind="slide", edge=(0, 3), host=0),
              Bind(part=3, end=1, kind="slide", edge=(1, 3), host=1)]
-    cset = ConstraintSet(index=0, options={}, binds=binds, moving={2, 3},
-                         fixed={0, 1})
+    cset = ConstraintSet(index=0, options={}, binds=binds, moving={2, 3})
     config = optimize_configuration(cset, cons, parts, graph)
     assert config.opt_value < np.inf
     m_pos = config.segments[2][:, 0].mean()
@@ -338,7 +542,7 @@ def test_repulsion_keeps_sliders_apart():
 def test_select_best_rules():
     def conf(idx, obj, drops):
         from meshreform.config_opt import Configuration
-        return Configuration(index=idx, segments={}, slide_params={},
+        return Configuration(index=idx, segments={},
                              objective=obj, opt_value=obj, converged=True,
                              dropped_edges=[(0, k) for k in range(drops)],
                              new_contacts=[], kept_edges=[],
