@@ -8,10 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import Material, Model, TriangleMesh, normalize_model, sample_surface
-from .graphs import (annotate_contact_angles, build_contact_graph,
-                     build_repetition_graph)
-from .part_analysis import PartDescriptor, analyze_part
+from .mesh import Material, Model, TriangleMesh
+from .part_analysis import PartDescriptor
 from .similarity import orientation_angles
 
 logger = logging.getLogger(__name__)
@@ -161,43 +159,38 @@ class DatabaseSource:
     joint_tags: Optional[dict] = None
 
 
-def build_database(sources, d_c=0.01, descriptor_samples=1000,
-                   contact_samples=8000, seed=0, normalized=False) -> Database:
-    """Run the full per-model analysis over tagged models.
+def build_database(sources, cfg, normalized=False) -> Database:
+    """Index tagged models, each analysed by ``pipeline.analyze_model`` with
+    the same config as a query.
 
     Every part must carry a wood/metal/other tag; parts tagged other are
-    excluded from the database entirely. Congruent duplicates are recorded so
-    candidate clustering can keep one instance per class.
+    excluded from the database entirely, and a model whose parts are all
+    tagged other is skipped. Congruent duplicates are recorded so candidate
+    clustering can keep one instance per class.
     """
+    # pipeline imports this module at its top, so import at call time
+    from .pipeline import analyze_model
+
     db = Database(histograms={
         "wood": AngleHistogram("wood"),
         "metal": AngleHistogram("metal"),
     })
     for si, src in enumerate(sources):
-        model = src.model
         name = src.name or f"model_{si}"
-        for p in model.parts:
+        for p in src.model.parts:
             if p.material == Material.UNTAGGED:
                 raise ValueError(f"untagged part {p.id} ({p.name!r}) in model {name}")
-        kept = [p for p in model.parts if p.material != Material.OTHER]
-        if not kept:
+        if all(p.material == Material.OTHER for p in src.model.parts):
             continue
-        sub = Model(parts=kept, global_scale=model.global_scale)
-        if not normalized:
-            sub = normalize_model(sub)
-
-        samples = {p.id: sample_surface(p, descriptor_samples, seed=seed) for p in sub.parts}
-        dense = {p.id: sample_surface(p, contact_samples, seed=seed + 1) for p in sub.parts}
-        descriptors = {p.id: analyze_part(p, samples[p.id]) for p in sub.parts}
-        graph = build_contact_graph(sub, d_c=d_c, samples=dense)
-        annotate_contact_angles(graph, descriptors, samples)
-        rep = build_repetition_graph(sub, descriptors, samples)
+        analysis = analyze_model(src.model, cfg, normalized)
+        parts = analysis.model.parts
+        descriptors = analysis.descriptors
 
         index_of = {}
         congruent_dup = set()
-        for cls_ in rep.classes():
+        for cls_ in analysis.repetition_graph.classes():
             congruent_dup.update(cls_[1:])
-        for p in sub.parts:
+        for p in parts:
             idx = len(db.parts)
             index_of[p.id] = idx
             db.parts.append(ExemplarPart(
@@ -205,8 +198,8 @@ def build_database(sources, d_c=0.01, descriptor_samples=1000,
                 source_model=name, mesh=p.mesh, cluster_id=None,
                 congruent_duplicate=p.id in congruent_dup))
 
-        names = {p.id: p.name for p in sub.parts}
-        for e in graph.part_edges():
+        names = {p.id: p.name for p in parts}
+        for e in analysis.contact_graph.part_edges():
             du = descriptors[e.i]
             dv = descriptors[e.j]
             kind = None

@@ -18,6 +18,7 @@ DEFAULT_CONTACT_DISTANCE = 0.01
 CURVILINEAR_NEIGHBORHOOD = 0.05
 CONGRUENCE_EXTENT_TOL = 0.02
 CONGRUENCE_RMS_TOL = 0.01
+CONGRUENCE_MAX_POINTS = 1000
 
 
 @dataclass
@@ -122,8 +123,8 @@ class RepetitionGraph:
 # contact graph
 # ---------------------------------------------------------------------------
 
-def build_contact_graph(model: Model, d_c=DEFAULT_CONTACT_DISTANCE,
-                        samples=None, sample_count=8000, seed=0) -> ContactGraph:
+def build_contact_graph(model: Model, samples: dict,
+                        d_c=DEFAULT_CONTACT_DISTANCE) -> ContactGraph:
     """Edges between part pairs whose sampled surfaces come within ``d_c``.
 
     Distances are measured between sample sets, not exact triangles: an
@@ -134,15 +135,10 @@ def build_contact_graph(model: Model, d_c=DEFAULT_CONTACT_DISTANCE,
     ``d_c`` of the model's minimum z get an extra ground edge
     (``j == GROUND_ID``); the input is assumed z-up.
 
-    ``samples`` maps part id to SurfaceSamples; when omitted, each part is
-    sampled densely here.
+    ``samples`` maps part id to SurfaceSamples.
     """
-    from .mesh import sample_surface
-
     if d_c <= 0:
         raise ValueError("d_c must be positive")
-    if samples is None:
-        samples = {p.id: sample_surface(p, sample_count, seed=seed) for p in model.parts}
 
     ids = [p.id for p in model.parts]
     pts = {pid: samples[pid].positions for pid in ids}
@@ -179,15 +175,15 @@ def build_contact_graph(model: Model, d_c=DEFAULT_CONTACT_DISTANCE,
     return graph
 
 
-def _angle_leg(desc: PartDescriptor, samples: SurfaceSamples, contact_point,
-               radius=CURVILINEAR_NEIGHBORHOOD):
+def _angle_leg(desc: PartDescriptor, samples: SurfaceSamples, contact_point):
     """Direction of a part at a contact, or None when the part is neither
     linear nor locally linear (curvilinear) there."""
     if desc.is_linear:
         return desc.dominant_axis
     if desc.curvilinear and samples is not None:
         rel = samples.positions - np.asarray(contact_point)
-        local = samples.positions[(rel * rel).sum(axis=1) < radius * radius]
+        near = (rel * rel).sum(axis=1) < CURVILINEAR_NEIGHBORHOOD * CURVILINEAR_NEIGHBORHOOD
+        local = samples.positions[near]
         if len(local) >= 5:
             centered = local - local.mean(axis=0)
             w, v = np.linalg.eigh(centered.T @ centered)
@@ -205,23 +201,23 @@ def fold_angle_deg(u, v):
 def estimate_contact_angle(di: PartDescriptor, dj: PartDescriptor,
                            edge: ContactEdge,
                            samples_i: Optional[SurfaceSamples] = None,
-                           samples_j: Optional[SurfaceSamples] = None,
-                           radius=CURVILINEAR_NEIGHBORHOOD) -> Optional[float]:
+                           samples_j: Optional[SurfaceSamples] = None
+                           ) -> Optional[float]:
     """Contact angle between the two parts' legs, or None."""
-    leg_i = _angle_leg(di, samples_i, edge.contact_point, radius)
-    leg_j = _angle_leg(dj, samples_j, edge.contact_point, radius)
+    leg_i = _angle_leg(di, samples_i, edge.contact_point)
+    leg_j = _angle_leg(dj, samples_j, edge.contact_point)
     if leg_i is None or leg_j is None:
         return None
     return fold_angle_deg(leg_i, leg_j)
 
 
 def annotate_contact_angles(graph: ContactGraph, descriptors: dict,
-                            samples: dict, radius=CURVILINEAR_NEIGHBORHOOD):
+                            samples: dict):
     """Fill ``angle`` on every part-part edge, in place."""
     for e in graph.part_edges():
         e.angle = estimate_contact_angle(
             descriptors[e.i], descriptors[e.j], e,
-            samples.get(e.i), samples.get(e.j), radius)
+            samples.get(e.i), samples.get(e.j))
     return graph
 
 
@@ -268,10 +264,8 @@ def congruence_rms(desc_a: PartDescriptor, pts_a, desc_b: PartDescriptor, pts_b,
     return float(np.sqrt(best_sum / count))
 
 
-def build_repetition_graph(model: Model, descriptors: dict, samples: dict,
-                           extent_tol=CONGRUENCE_EXTENT_TOL,
-                           rms_tol=CONGRUENCE_RMS_TOL,
-                           max_points=1000) -> RepetitionGraph:
+def build_repetition_graph(model: Model, descriptors: dict,
+                           samples: dict) -> RepetitionGraph:
     """Congruence edges between parts with matching extents and small aligned
     RMS; the result is transitively closed into cliques."""
     ids = [p.id for p in model.parts]
@@ -279,13 +273,14 @@ def build_repetition_graph(model: Model, descriptors: dict, samples: dict,
     direct = []
     for i, j in itertools.combinations(ids, 2):
         ea, eb = descriptors[i].size_vec, descriptors[j].size_vec
-        if (np.abs(ea - eb) > extent_tol * np.maximum(ea, eb) + 1e-12).any():
+        if (np.abs(ea - eb)
+                > CONGRUENCE_EXTENT_TOL * np.maximum(ea, eb) + 1e-12).any():
             continue
-        pa = samples[i].positions[:max_points]
-        pb = samples[j].positions[:max_points]
+        pa = samples[i].positions[:CONGRUENCE_MAX_POINTS]
+        pb = samples[j].positions[:CONGRUENCE_MAX_POINTS]
         rms = congruence_rms(descriptors[i], pa, descriptors[j], pb,
-                             stop_below=0.5 * rms_tol)
-        if rms < rms_tol:
+                             stop_below=0.5 * CONGRUENCE_RMS_TOL)
+        if rms < CONGRUENCE_RMS_TOL:
             direct.append((i, j))
     # transitive closure: edges of the union-find cliques
     tmp = RepetitionGraph(nodes=list(ids), edges=direct)

@@ -87,13 +87,9 @@ class PipelineConfig:
 class ModelAnalysis:
     model: Model
     samples: dict
-    dense_samples: dict
     descriptors: dict
     contact_graph: ContactGraph
     repetition_graph: object
-
-    def materials(self):
-        return {p.id: p.material for p in self.model.parts}
 
 
 def analyze_model(model: Model, cfg: PipelineConfig,
@@ -113,16 +109,16 @@ def analyze_model(model: Model, cfg: PipelineConfig,
         model = normalize_model(model)
     samples = {p.id: sample_surface(p, cfg.surface_samples, seed=cfg.seed)
                for p in model.parts}
-    dense = {p.id: sample_surface(p, cfg.contact_samples, seed=cfg.seed + 1)
-             for p in model.parts}
     descriptors = {p.id: analyze_part(p, samples[p.id], bin_width=cfg.thickness_bin)
                    for p in model.parts}
-    graph = build_contact_graph(model, d_c=cfg.d_c, samples=dense)
+    # the dense contact samples are dropped once the graph is built
+    graph = build_contact_graph(model, d_c=cfg.d_c, samples={
+        p.id: sample_surface(p, cfg.contact_samples, seed=cfg.seed + 1)
+        for p in model.parts})
     annotate_contact_angles(graph, descriptors, samples)
     rep = build_repetition_graph(model, descriptors, samples)
-    return ModelAnalysis(model=model, samples=samples, dense_samples=dense,
-                         descriptors=descriptors, contact_graph=graph,
-                         repetition_graph=rep)
+    return ModelAnalysis(model=model, samples=samples, descriptors=descriptors,
+                         contact_graph=graph, repetition_graph=rep)
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +189,9 @@ class ReformedState:
 
 def reformed_state(analysis: ModelAnalysis, placed, targets, db: Database,
                    cfg: PipelineConfig, restore_report=None) -> ReformedState:
-    """Rebuild contact points and angles on the placed parts, keeping the
-    original topology."""
+    """Move the query's contact points with the placed parts, keeping the
+    original topology, then recompute descriptors and angles on them."""
     by_id = {p.part_id: p for p in placed}
-    descriptors = {pid: by_id[pid].placed_descriptor(db) for pid in by_id}
-    samples = {pid: by_id[pid].placed_samples(db, n=cfg.surface_samples, seed=cfg.seed)
-               for pid in by_id}
     graph = ContactGraph(nodes=list(by_id))
     for e in analysis.contact_graph.edges:
         cp = np.asarray(e.contact_point, dtype=float)
@@ -211,10 +204,11 @@ def reformed_state(analysis: ModelAnalysis, placed, targets, db: Database,
             cp = 0.5 * ((pi + restore_report.displacements[e.i])
                         + (pj + restore_report.displacements[e.j]))
         graph.edges.append(type(e)(e.i, e.j, cp))
-    annotate_contact_angles(graph, descriptors, samples)
-    return ReformedState(placed=by_id, descriptors=descriptors, graph=graph,
-                         materials=dict(targets),
-                         repetition=analysis.repetition_graph)
+    # the refresh fills in the descriptors
+    moved = ReformedState(placed=by_id, descriptors={}, graph=graph,
+                          materials=dict(targets),
+                          repetition=analysis.repetition_graph)
+    return reformed_refresh(moved, db, cfg)
 
 
 def optimize_angles(state: ReformedState, db: Database, cfg: PipelineConfig):
@@ -540,7 +534,5 @@ def read_sources(dir_path):
 
 
 def build_database_from_config(sources, cfg: PipelineConfig) -> Database:
-    db = build_database(sources, d_c=cfg.d_c,
-                        descriptor_samples=cfg.surface_samples,
-                        contact_samples=cfg.contact_samples, seed=cfg.seed)
-    return cluster_candidates(db, k=cfg.candidates_k, seed=cfg.seed)
+    return cluster_candidates(build_database(sources, cfg),
+                              k=cfg.candidates_k, seed=cfg.seed)

@@ -4,6 +4,7 @@ import pytest
 from meshreform import kernels
 from meshreform.database import build_database, cluster_candidates
 from meshreform.mesh import Material, Model, Part, TriangleMesh
+from meshreform.pipeline import PipelineConfig
 from meshreform.synthetic import GeneratorConfig, box_part, generate_synthetic_database
 
 kernels.warmup()
@@ -41,5 +42,5 @@ def small_sources(small_gen_config):
 
 @pytest.fixture(scope="session")
 def small_db(small_sources):
-    db = build_database(small_sources, contact_samples=4000)
+    db = build_database(small_sources, PipelineConfig(contact_samples=4000))
     return cluster_candidates(db, k=30, seed=0)

@@ -65,8 +65,7 @@ def corpus():
     minidbs = {}
     for src in sources:
         analyses[src.name] = analyze_model(src.model, ACCEPT_CFG)
-        minidbs[src.name] = build_database([src], contact_samples=ACCEPT_CFG.contact_samples,
-                                           descriptor_samples=ACCEPT_CFG.surface_samples)
+        minidbs[src.name] = build_database([src], ACCEPT_CFG)
     full = merge_databases(minidbs.values())
     full = cluster_candidates(full, k=80, seed=0)
     return {"sources": {s.name: s for s in sources}, "analyses": analyses,

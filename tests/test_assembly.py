@@ -7,6 +7,7 @@ from meshreform.database import build_database, cluster_candidates, DatabaseSour
 from meshreform.graphs import ContactEdge, ContactGraph
 from meshreform.mesh import Material, Model, normalize_model, sample_surface
 from meshreform.part_analysis import analyze_part
+from meshreform.pipeline import PipelineConfig
 from meshreform.synthetic import GeneratorConfig, arc_tube, rod_part
 from meshreform.inference import Assignment
 from conftest import make_box_part
@@ -19,7 +20,7 @@ def mini_db(parts_dims, materials=None):
         mat = materials[k] if materials else Material.WOOD
         part = make_box_part(0, [0, 0, 0.5 * dims[2]], dims, mat, name=f"p{k}")
         sources.append(DatabaseSource(model=Model(parts=[part]), name=f"m{k}"))
-    db = build_database(sources, contact_samples=1500)
+    db = build_database(sources, PipelineConfig(contact_samples=1500))
     return cluster_candidates(db, k=len(parts_dims), seed=0)
 
 
@@ -72,7 +73,8 @@ def test_curved_tube_lands_on_rod_endpoints():
         type(make_box_part(0, [0, 0, 0], [1, 1, 1]))(
             id=0, mesh=arc_tube([0, 0, 0], 0.5, 0, np.pi, 0.02),
             material=Material.METAL, name="arc")]), name="arcm")]
-    db = cluster_candidates(build_database(sources, contact_samples=1500), k=1, seed=0)
+    db = cluster_candidates(build_database(sources, PipelineConfig(contact_samples=1500)),
+                            k=1, seed=0)
     _, samples, descs = analyzed_model(
         [make_box_part(0, [0.2, 0.3, 0.1], [0.9, 0.05, 0.05], Material.WOOD)])
     placed = place(descs, {0: db.candidates[0]}, db, samples)[0]
@@ -108,8 +110,8 @@ def chair_like_setup():
     top = make_box_part(4, [0, 0, 0.725], [1.0, 0.6, 0.05], Material.WOOD, name="top")
     model = normalize_model(Model(parts=legs + [top]))
     src = DatabaseSource(model=model, name="self")
-    db = cluster_candidates(build_database([src], contact_samples=3000, normalized=True),
-                            k=5, seed=0)
+    db = cluster_candidates(build_database([src], PipelineConfig(contact_samples=3000),
+                                           normalized=True), k=5, seed=0)
     samples = {p.id: sample_surface(p, 1000, seed=0) for p in model.parts}
     descs = {p.id: analyze_part(p, samples[p.id]) for p in model.parts}
     by_dims = {}
@@ -138,7 +140,7 @@ def test_two_parts_gap_closes_exactly():
     b = make_box_part(1, [0.5, 0, 0], [0.3, 0.3, 0.3], Material.WOOD, "b")
     model = Model(parts=[a, b])
     src = DatabaseSource(model=model, name="ab")
-    db = cluster_candidates(build_database([src], contact_samples=1500,
+    db = cluster_candidates(build_database([src], PipelineConfig(contact_samples=1500),
                                            normalized=True), k=2, seed=0)
     samples = {p.id: sample_surface(p, 800, seed=0) for p in model.parts}
     descs = {p.id: analyze_part(p, samples[p.id]) for p in model.parts}

@@ -9,8 +9,11 @@ from meshreform.database import (AngleHistogram, Database, DatabaseSource,
                                  load_database, part_feature, save_database,
                                  _kmeans)
 from meshreform.mesh import Material, Model
+from meshreform.pipeline import PipelineConfig, analyze_model
 from meshreform.synthetic import GeneratorConfig, wood_table
 from conftest import make_box_part
+
+CFG = PipelineConfig(contact_samples=3000)
 
 
 def table_source():
@@ -20,7 +23,7 @@ def table_source():
 
 def test_build_counts_single_table():
     src = table_source()
-    db = build_database([src], contact_samples=3000)
+    db = build_database([src], CFG)
     assert len(db.parts) == len(src.model.parts)
     # legs-top and apron-leg contacts at minimum
     assert len(db.contacts) >= 8
@@ -30,7 +33,7 @@ def test_build_counts_single_table():
 def test_other_parts_excluded():
     src = table_source()
     src.model.parts[0].material = Material.OTHER
-    db = build_database([src], contact_samples=3000)
+    db = build_database([src], CFG)
     assert len(db.parts) == len(src.model.parts) - 1
     names = {p.source_model for p in db.parts}
     assert names == {"table"}
@@ -40,7 +43,35 @@ def test_untagged_part_rejected():
     src = table_source()
     src.model.parts[2].material = Material.UNTAGGED
     with pytest.raises(ValueError, match="untagged"):
-        build_database([src])
+        build_database([src], CFG)
+
+
+@pytest.mark.parametrize("thickness_bin", [0.005, 0.02])
+def test_exemplars_analysed_like_queries(thickness_bin):
+    """An exemplar part gets the descriptor the same model would get as a
+    query under the same config, thickness bin included."""
+    src = table_source()
+    cfg = PipelineConfig(contact_samples=3000, thickness_bin=thickness_bin)
+    db = build_database([src], cfg)
+    analysis = analyze_model(src.model, cfg)
+    assert len(db.parts) == len(analysis.model.parts)
+    for exemplar, part in zip(db.parts, analysis.model.parts):
+        assert (json.dumps(exemplar.descriptor.to_json())
+                == json.dumps(analysis.descriptors[part.id].to_json()))
+
+
+def test_all_other_model_skipped_but_rejected_as_query():
+    other = table_source()
+    for p in other.model.parts:
+        p.material = Material.OTHER
+    other.name = "screws"
+    table = table_source()
+    db = build_database([other, table], CFG)
+    assert len(db.parts) == len(table.model.parts)
+    assert {p.source_model for p in db.parts} == {"table"}
+    assert db.contacts
+    with pytest.raises(ValueError, match="all tagged other"):
+        analyze_model(other.model, CFG)
 
 
 def test_histogram_bins_and_mass():

@@ -75,7 +75,7 @@ def test_table_star_topology_vs_bruteforce():
 def test_dc_must_be_positive():
     model = Model(parts=[make_box_part(0, [0, 0, 0], [1, 1, 1])])
     with pytest.raises(ValueError):
-        build_contact_graph(model, d_c=0.0)
+        build_contact_graph(model, samples={}, d_c=0.0)
 
 
 def test_edges_match_bruteforce_random_scatter():

@@ -3,6 +3,7 @@ import pytest
 
 from meshreform.database import build_database
 from meshreform.mesh import Material
+from meshreform.pipeline import PipelineConfig
 from meshreform.synthetic import (GeneratorConfig, generate_synthetic_database,
                                   rule_joint_kind, wood_chair)
 
@@ -46,7 +47,7 @@ def test_metal_histogram_spread(small_db):
 def test_thickness_ranges(small_sources, small_gen_config):
     """Normalized thickness of generated parts stays in the configured
     material bands (one voting bin of slack)."""
-    db = build_database(small_sources[:6], contact_samples=2000)
+    db = build_database(small_sources[:6], PipelineConfig(contact_samples=2000))
     for p in db.parts:
         t = p.descriptor.thickness
         if p.material == Material.WOOD:
