@@ -22,9 +22,9 @@ from .part_analysis import PartDescriptor, analyze_part, describe_part, \
 from .graphs import (ContactEdge, ContactGraph, RepetitionGraph,
                      build_contact_graph, build_repetition_graph,
                      estimate_contact_angle)
-from .similarity import (SimilarityParams, contact_angle_similarity,
-                         material_similarity, orientation_angle_similarity,
-                         shape_similarity, spatial_similarity)
+from .similarity import (contact_angle_similarity, material_similarity,
+                         orientation_angle_similarity, shape_similarity,
+                         spatial_similarity)
 from .database import (Database, DatabaseSource, angle_feasibility,
                        build_database, cluster_candidates, load_database,
                        save_database)

@@ -1,7 +1,7 @@
 """Placing replacement parts and restoring the original contact graph."""
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -9,7 +9,7 @@ import numpy as np
 from . import kernels
 from .mesh import SurfaceSamples, TriangleMesh, sample_surface, Part
 from .obb import OrientedBox
-from .part_analysis import PartDescriptor
+from .part_analysis import PartDescriptor, ThicknessEstimate, describe_part
 
 logger = logging.getLogger(__name__)
 
@@ -58,25 +58,13 @@ class PlacedPart:
         return sample_surface(Part(id=self.part_id, mesh=mesh), n, seed=seed)
 
     def placed_descriptor(self, db) -> PartDescriptor:
-        """Descriptor of the placed geometry, recomputed analytically from
-        the source descriptor (no re-fitting)."""
+        """Descriptor of the placed geometry on its placed box, keeping the
+        source thickness (no re-fitting or ray casting)."""
         src = db.part(self.source_index).descriptor
-        box = self.placed_box()
-        mesh = self.placed_mesh(db)
-        area_ratio = mesh.surface_area() / box.surface_area if box.surface_area > 0 else np.inf
-        from .part_analysis import (CURVILINEAR_AREA_RATIO, ELONGATION_RATIO,
-                                    LINEAR_AREA_RATIO)
-        extents = box.extents
-        elongated = extents[0] >= ELONGATION_RATIO * max(extents[1], 1e-30)
-        seg = np.stack([box.center - box.half_extents[0] * box.axes[0],
-                        box.center + box.half_extents[0] * box.axes[0]])
-        bary = self.transform_points(src.barycenter)[0]
-        return PartDescriptor(
-            obb=box, size_vec=extents.copy(), area_ratio=float(area_ratio),
-            thickness=src.thickness, thickness_fallback=src.thickness_fallback,
-            is_linear=bool(elongated and area_ratio >= LINEAR_AREA_RATIO),
-            curvilinear=bool(area_ratio < CURVILINEAR_AREA_RATIO),
-            dominant_axis=box.axes[0].copy(), segment=seg, barycenter=bary)
+        part = Part(id=self.part_id, mesh=self.placed_mesh(db))
+        thickness = ThicknessEstimate(src.thickness, src.thickness_fallback, 0.0)
+        desc = describe_part(part, self.placed_box(), thickness)
+        return replace(desc, barycenter=self.transform_points(src.barycenter)[0])
 
 
 def place_replacements(descriptors: dict, assignment, db,
@@ -137,11 +125,9 @@ def place_replacements(descriptors: dict, assignment, db,
 # contact restoration
 # ---------------------------------------------------------------------------
 
-def closest_point_on_placed(placed: PlacedPart, db, point, samples=None):
-    """Closest surface point of a placed part to ``point``: nearest sample,
-    refined by projecting onto that sample's triangle."""
-    if samples is None:
-        samples = placed.placed_samples(db)
+def closest_point_on_placed(placed: PlacedPart, db, point, samples):
+    """Closest surface point of a placed part to ``point``: nearest of its
+    ``samples``, refined by projecting onto that sample's triangle."""
     d2 = ((samples.positions - point) ** 2).sum(axis=1)
     k = int(np.argmin(d2))
     mesh_src = db.part(placed.source_index).mesh
@@ -192,22 +178,21 @@ class RestoreReport:
     foot_points: dict            # edge key -> (p_i, p_j)
 
 
-def restore_contacts(placed: list, contact_graph, db,
-                     foot_samples: Optional[dict] = None):
+def restore_contacts(placed: list, contact_graph, db, seed=0):
     """Translate placed parts so the original contact points close up.
 
-    Per connected component of the part-part contact graph, the part with
-    the most contacts is fixed (ties to the smallest id) and the quadratic
-    gap objective is minimized in closed form through its normal equations
-    (one graph Laplacian solve per coordinate). Ground edges carry no second
-    part and do not enter the solve. Returns (new placed list, report).
+    Foot points are found on surface samples of each placed part drawn with
+    ``seed``. Per connected component of the part-part contact graph, the
+    part with the most contacts is fixed (ties to the smallest id) and the
+    quadratic gap objective is minimized in closed form through its normal
+    equations (one graph Laplacian solve per coordinate). Ground edges carry
+    no second part and do not enter the solve. Returns (new placed list, report).
     """
     by_id = {p.part_id: p for p in placed}
     edges = [e for e in contact_graph.part_edges()
              if e.i in by_id and e.j in by_id]
 
-    if foot_samples is None:
-        foot_samples = {p.part_id: p.placed_samples(db) for p in placed}
+    foot_samples = {p.part_id: p.placed_samples(db, seed=seed) for p in placed}
 
     foot = {}
     for e in edges:

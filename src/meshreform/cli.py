@@ -108,7 +108,7 @@ def cmd_suggest(args):
     model = load_model(args.model)
     db = load_database(args.db)
     analysis = pl.analyze_model(model, cfg)
-    materials, result = pl.suggest_materials(analysis, db, cfg)
+    materials, result = pl.suggest_materials(analysis, db)
     _write(args.out, {
         "materials": {str(k): v.value for k, v in materials.items()},
         "log_potential": result.log_potential,
@@ -117,9 +117,8 @@ def cmd_suggest(args):
     return EXIT_OK
 
 
-def _run_stage(args):
-    """Run the pipeline and keep artifacts; the stage subcommands are thin
-    aliases over the deterministic full run."""
+def cmd_pipeline(args):
+    """Run every stage and keep each stage's artifacts under ``--out``."""
     cfg = _load_config(args)
     pl.run_pipeline(args.model, args.db, cfg, args.out)
     print(os.path.join(args.out, "summary.json"))
@@ -191,20 +190,13 @@ def make_parser():
     common(p)
     p.set_defaults(func=cmd_suggest)
 
-    for name, help_ in [("reform", "replace parts for the target material"),
-                        ("restore", "reform and restore contacts"),
-                        ("optimize-angles", "reform through angle optimization"),
-                        ("infer-joints", "reform through joint inference"),
-                        ("refine", "reform through QP refinement"),
-                        ("form-joints", "reform through joint forming"),
-                        ("pipeline", "run the full pipeline")]:
-        p = sub.add_parser(name, help=help_)
-        common(p)
-        p.add_argument("--target-material", default=None,
-                       help="suggest | all=wood | all=metal | id=mat,...")
-        p.add_argument("--joint-override", action="append", default=[],
-                       help="i,j=kind (repeatable)")
-        p.set_defaults(func=_run_stage)
+    p = sub.add_parser("pipeline", help="run the full pipeline")
+    common(p)
+    p.add_argument("--target-material", default=None,
+                   help="suggest | all=wood | all=metal | id=mat,...")
+    p.add_argument("--joint-override", action="append", default=[],
+                   help="i,j=kind (repeatable)")
+    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("validate", help="check a database or model file")
     p.add_argument("--db")

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .database import FEASIBILITY_THRESHOLD, AngleHistogram
-from .graphs import ContactGraph, fold_angle_deg
+from .graphs import DEFAULT_CONTACT_DISTANCE, ContactGraph, fold_angle_deg
 from .mesh import Material
 
 logger = logging.getLogger(__name__)
@@ -103,11 +103,10 @@ class Configuration:
 # feasibility assessment
 # ---------------------------------------------------------------------------
 
-def assess_angle_feasibility(graph: ContactGraph, materials: dict, db,
-                             threshold=FEASIBILITY_THRESHOLD) -> list:
+def assess_angle_feasibility(graph: ContactGraph, materials: dict, db) -> list:
     """Constraints for same-material angled edges whose histogram
-    feasibility falls below ``threshold``; the target is the center of the
-    nearest feasible bin (ties toward the larger angle)."""
+    feasibility falls below ``FEASIBILITY_THRESHOLD``; the target is the
+    center of the nearest feasible bin (ties toward the larger angle)."""
     constraints = []
     for e in graph.part_edges():
         if e.angle is None:
@@ -119,11 +118,11 @@ def assess_angle_feasibility(graph: ContactGraph, materials: dict, db,
         if hist is None or hist.total == 0:
             raise ValueError(f"empty angle histogram for {mi.value}")
         feas = hist.feasibility(e.angle)
-        if feas >= threshold:
+        if feas >= FEASIBILITY_THRESHOLD:
             continue
         freqs = hist.smoothed_frequencies()
         centers = np.array([AngleHistogram.bin_center(k) for k in range(len(freqs))])
-        ok = np.flatnonzero(freqs >= threshold)
+        ok = np.flatnonzero(freqs >= FEASIBILITY_THRESHOLD)
         if len(ok) == 0:
             logger.warning("edge %s: no feasible angle bin at all; skipped", e.key())
             continue
@@ -568,7 +567,7 @@ def _survival(cset, segments, parts, graph, d_c):
 
 def optimize_configuration(cset: ConstraintSet, constraints, parts: dict,
                            graph: ContactGraph, db=None, materials=None,
-                           d_c=0.01) -> Configuration:
+                           d_c=DEFAULT_CONTACT_DISTANCE) -> Configuration:
     """Solve one constraint set from the current configuration by L-BFGS-B
     over the affine endpoint map, with box bounds [0, 1] on the slide
     parameters."""

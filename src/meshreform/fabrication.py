@@ -20,10 +20,11 @@ from typing import Optional
 
 import numpy as np
 
+from .graphs import DEFAULT_CONTACT_DISTANCE
 from .mesh import Material, Model, Part, save_model
 from .obb import OrientedBox, box_gap, boxes_mesh, subtract_local_box
 from .qp import QPInfeasibleError, kkt_residual, solve_min_change_qp
-from .similarity import DEFAULT_PARAMS
+from .similarity import SIGMA_OA, SIGMA_PR, shape_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -35,6 +36,8 @@ JOINT_KINDS = {
 
 WALL_MARGIN = 0.004
 PENETRATION_FACTOR = 0.3
+SHRINK_LIMIT = 0.5
+GROW_LIMIT = 2.0
 TENON_FACE_SCALE = 0.5
 KNN_K = 5
 AMBIGUITY_MARGIN = 0.10
@@ -117,11 +120,9 @@ class QueryContact:
 # joint type inference
 # ---------------------------------------------------------------------------
 
-def _pool_scores(query: QueryContact, pool, db, params):
+def _pool_scores(query: QueryContact, pool, db):
     """Joint affinity of one query contact against every pooled exemplar
     contact (max over the two part-order pairings), vectorized."""
-    from .similarity import shape_matrix
-
     u_desc = [db.part(c.u).descriptor for c in pool]
     v_desc = [db.part(c.v).descriptor for c in pool]
     u_mat = np.array([db.part(c.u).material == query.materials[0] for c in pool])
@@ -129,15 +130,15 @@ def _pool_scores(query: QueryContact, pool, db, params):
     u_mat_sw = np.array([db.part(c.u).material == query.materials[1] for c in pool])
     v_mat_sw = np.array([db.part(c.v).material == query.materials[0] for c in pool])
     qi, qj = query.descriptors
-    s_iu = shape_matrix([qi], u_desc, mode="obb_only", params=params)[0]
-    s_jv = shape_matrix([qj], v_desc, mode="obb_only", params=params)[0]
-    s_iv = shape_matrix([qi], v_desc, mode="obb_only", params=params)[0]
-    s_ju = shape_matrix([qj], u_desc, mode="obb_only", params=params)[0]
+    s_iu = shape_matrix([qi], u_desc, mode="obb_only")[0]
+    s_jv = shape_matrix([qj], v_desc, mode="obb_only")[0]
+    s_iv = shape_matrix([qi], v_desc, mode="obb_only")[0]
+    s_ju = shape_matrix([qj], u_desc, mode="obb_only")[0]
     d_uv = np.array([c.barycenter_distance for c in pool])
-    pr = np.exp(-((query.barycenter_distance - d_uv) ** 2) / params.sigma_pr ** 2)
+    pr = np.exp(-((query.barycenter_distance - d_uv) ** 2) / SIGMA_PR ** 2)
     a_uv = np.stack([np.asarray(c.orientation_vec, dtype=float) for c in pool])
     d2 = ((query.orientation_vec[None, :] - a_uv) ** 2).sum(axis=1)
-    oa = np.exp(-d2 / params.sigma_oa ** 2)
+    oa = np.exp(-d2 / SIGMA_OA ** 2)
     direct = (u_mat & v_mat) * s_iu * s_jv
     swapped = (u_mat_sw & v_mat_sw) * s_iv * s_ju
     return np.maximum(direct, swapped) * pr * oa
@@ -165,8 +166,7 @@ def _tenon_role(query: QueryContact):
     return query.edge[1], query.edge[0]
 
 
-def infer_joint_types(queries, db, k=KNN_K, params=DEFAULT_PARAMS,
-                      overrides=None) -> list:
+def infer_joint_types(queries, db, k=KNN_K, overrides=None) -> list:
     """kNN vote over the tagged exemplar contacts.
 
     The winner is the plurality kind among the k highest-affinity tagged
@@ -187,7 +187,7 @@ def infer_joint_types(queries, db, k=KNN_K, params=DEFAULT_PARAMS,
         pool = by_category.get(cat, [])
         if not pool:
             raise ValueError(f"no tagged {cat} contacts in database (edge {q.edge})")
-        scores = _pool_scores(q, pool, db, params)
+        scores = _pool_scores(q, pool, db)
         top = np.argsort(-scores, kind="stable")[:min(k, len(pool))]
         votes = {}
         best_phi = {}
@@ -235,22 +235,18 @@ class RefinementResult:
     kkt_residual: float = 0.0
 
 
-def refine_part_dimensions(assignments, boxes: dict,
-                           wall_margin=WALL_MARGIN,
-                           penetration=PENETRATION_FACTOR,
-                           shrink_limit=0.5, grow_limit=2.0) -> RefinementResult:
+def refine_part_dimensions(assignments, boxes: dict) -> RefinementResult:
     """Minimum-change resize of joint-incident OBBs (centroids fixed).
 
     For each mortise_tenon joint the tenon's two cross extents must fit
-    inside the mortise's support widths minus ``wall_margin``, and the tenon
-    must reach ``penetration`` times the mortise width past the entry face.
-    Variables are the half extents of all mortise_tenon-incident parts,
+    inside the mortise's support widths minus ``WALL_MARGIN``, and the tenon
+    must reach ``PENETRATION_FACTOR`` times the mortise width past the entry
+    face. Variables are the half extents of all mortise_tenon-incident parts,
     solved jointly by the active-set QP; an infeasible cluster is reported
     and its parts are left at their original dimensions.
 
-    ``shrink_limit``/``grow_limit`` bound every extent to that multiple of
-    its original value, so a single misjudged joint cannot mangle a part;
-    pass None to disable either bound.
+    ``SHRINK_LIMIT``/``GROW_LIMIT`` bound every extent to that multiple of
+    its original value, so a single misjudged joint cannot mangle a part.
     """
     mt = [a for a in assignments if a.joint.kind == "mortise_tenon"]
     result = RefinementResult(boxes={pid: b for pid, b in boxes.items()},
@@ -279,8 +275,7 @@ def refine_part_dimensions(assignments, boxes: dict,
 
     worst_residual = 0.0
     for joints in clusters.values():
-        res = _refine_cluster(joints, boxes, wall_margin, penetration,
-                              shrink_limit, grow_limit)
+        res = _refine_cluster(joints, boxes)
         if isinstance(res, dict):
             result.violations.append(res)
             continue
@@ -292,7 +287,7 @@ def refine_part_dimensions(assignments, boxes: dict,
     return result
 
 
-def _refine_cluster(mt, boxes, wall_margin, penetration, shrink_limit, grow_limit):
+def _refine_cluster(mt, boxes):
     involved = sorted({p for a in mt for p in (a.tenon_part, a.mortise_part)})
     col = {pid: 3 * k for k, pid in enumerate(involved)}
     x0 = np.concatenate([boxes[pid].half_extents for pid in involved])
@@ -313,14 +308,14 @@ def _refine_cluster(mt, boxes, wall_margin, penetration, shrink_limit, grow_limi
             row[tcol + cross_axis] = 2.0
             row[mcol:mcol + 3] -= 2.0 * w
             rows.append(row)
-            rhs.append(-wall_margin)
+            rhs.append(-WALL_MARGIN)
             row_joint.append(a)
-        # reach: t_half_dom + (0.5 - penetration) * W(dom) >= gap along dom
+        # reach: t_half_dom + (0.5 - PENETRATION_FACTOR) * W(dom) >= gap along dom
         gap = abs(float(dom @ (mb.center - tb.center)))
         wd = np.abs(mb.axes @ dom)
         row = np.zeros(n)
         row[tcol] = -1.0
-        row[mcol:mcol + 3] -= (1.0 - 2.0 * penetration) * wd
+        row[mcol:mcol + 3] -= (1.0 - 2.0 * PENETRATION_FACTOR) * wd
         rows.append(row)
         rhs.append(-gap)
         row_joint.append(a)
@@ -330,15 +325,13 @@ def _refine_cluster(mt, boxes, wall_margin, penetration, shrink_limit, grow_limi
         row = np.zeros(n)
         row[k] = -1.0
         rows.append(row)
-        rhs.append(-max(MIN_EXTENT,
-                        shrink_limit * x0[k] if shrink_limit else MIN_EXTENT))
+        rhs.append(-max(MIN_EXTENT, SHRINK_LIMIT * x0[k]))
         row_joint.append(None)
-        if grow_limit:
-            row = np.zeros(n)
-            row[k] = 1.0
-            rows.append(row)
-            rhs.append(grow_limit * x0[k])
-            row_joint.append(None)
+        row = np.zeros(n)
+        row[k] = 1.0
+        rows.append(row)
+        rhs.append(GROW_LIMIT * x0[k])
+        row_joint.append(None)
 
     G = np.vstack(rows)
     h = np.asarray(rhs)
@@ -401,16 +394,15 @@ def _tenon_face(tb: OrientedBox, mb: OrientedBox):
 
 
 def form_joint_geometry(assignment: JointAssignment, boxes: dict,
-                        mortise_thickness=None, d_c=0.01,
-                        face_scale=TENON_FACE_SCALE,
-                        penetration=PENETRATION_FACTOR) -> JointGeometry:
+                        d_c=DEFAULT_CONTACT_DISTANCE) -> JointGeometry:
     """Form one joint on OBB proxies.
 
     mortise_tenon: the tenon face nearest the mortise is scaled by
-    ``face_scale`` and extruded ``penetration`` times the mortise width into
-    it; the tenon part gains the prism, the mortise part gains the matching
-    cavity. lap: both parts lose a half-thickness notch over the overlap
-    footprint. Other kinds record a seam/fastener at the contact midpoint.
+    ``TENON_FACE_SCALE`` and extruded ``PENETRATION_FACTOR`` times the
+    mortise width into it; the tenon part gains the prism, the mortise part
+    gains the matching cavity. lap: both parts lose a half-thickness notch
+    over the overlap footprint. Other kinds record a seam/fastener at the
+    contact midpoint.
     """
     i, j = assignment.edge
     kind = assignment.joint.kind
@@ -424,9 +416,7 @@ def form_joint_geometry(assignment: JointAssignment, boxes: dict,
                 f"joint {assignment.edge}: boxes separated by {gap:.4f} > d_c")
         axis, sign = _tenon_face(tb, mb)
         direction = sign * tb.axes[axis]
-        width = mortise_thickness if mortise_thickness is not None \
-            else mb.support_width(direction)
-        depth = penetration * width
+        depth = PENETRATION_FACTOR * mb.support_width(direction)
         cross = [a for a in range(3) if a != axis]
         face_center = tb.center + sign * tb.half_extents[axis] * tb.axes[axis]
         prism_axes = np.stack([tb.axes[axis], tb.axes[cross[0]], tb.axes[cross[1]]])
@@ -436,8 +426,8 @@ def form_joint_geometry(assignment: JointAssignment, boxes: dict,
             face_center + 0.5 * depth * direction,
             prism_axes,
             np.array([0.5 * depth,
-                      face_scale * tb.half_extents[cross[0]],
-                      face_scale * tb.half_extents[cross[1]]]))
+                      TENON_FACE_SCALE * tb.half_extents[cross[0]],
+                      TENON_FACE_SCALE * tb.half_extents[cross[1]]]))
         geo.prism = prism
         geo.sculpted[assignment.tenon_part] = [_copy_box(tb), prism]
         lo, hi = _local_aabb(mb, prism)

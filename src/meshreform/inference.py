@@ -1,12 +1,11 @@
 """Factor graphs and loopy belief propagation for part replacement and
 material suggestion.
 
-Pairwise potentials carry an exponent weight (0.1 for contact factors, 20
-for repetition factors) applied in log space before message passing.
-Decoding takes the per-variable argmax of beliefs; with the default
-max-product messages the beliefs are max-marginals, so the decoded labeling
-is the exact MAP on trees. Sum-product messages (the marginal flavor) are
-available through ``algorithm="sum_product"``.
+Pairwise potentials carry an exponent weight (``CONTACT_WEIGHT`` for
+contact factors, ``REPETITION_WEIGHT`` for repetition factors) applied in
+log space before message passing. Messages are max-product, so the beliefs
+are max-marginals; decoding takes the per-variable argmax, which is the
+exact MAP on trees.
 """
 
 import logging
@@ -15,14 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Material
-from .similarity import (DEFAULT_PARAMS, contact_angle_similarity_vec,
-                         shape_matrix)
+from .similarity import SIGMA_PR, contact_angle_similarity_vec, shape_matrix
 
 logger = logging.getLogger(__name__)
 
 LOG_FLOOR = 1e-300
 CONTACT_WEIGHT = 0.1
 REPETITION_WEIGHT = 20.0
+BP_MAX_ITERS = 100
+BP_DAMPING = 0.5
+BP_TOL = 1e-6
 
 
 class InferenceError(ValueError):
@@ -112,17 +113,14 @@ def _normalize_log(v):
     return v - (m + np.log(np.exp(v - m).sum()))
 
 
-def run_loopy_bp(graph: FactorGraph, max_iters=100, damping=0.5, tol=1e-6,
-                 algorithm="max_product") -> Assignment:
-    """Synchronous damped message passing; beliefs decoded by per-variable
-    argmax with smallest-index tie break.
+def run_loopy_bp(graph: FactorGraph) -> Assignment:
+    """Synchronous damped max-product message passing; beliefs decoded by
+    per-variable argmax with smallest-index tie break.
 
-    ``max_product`` computes max-marginals (exact MAP decoding on trees);
-    ``sum_product`` computes marginals. Messages are kept normalized to
-    log-sum-exp zero.
+    Messages are damped by ``BP_DAMPING`` and kept normalized to
+    log-sum-exp zero; passing stops once no message moves by ``BP_TOL`` or
+    after ``BP_MAX_ITERS`` rounds.
     """
-    if algorithm not in ("max_product", "sum_product"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     log_un = graph.log_unaries()
     log_tab = graph.log_tables()
     nv = graph.n_vars
@@ -135,15 +133,9 @@ def run_loopy_bp(graph: FactorGraph, max_iters=100, damping=0.5, tol=1e-6,
         incident[f.a].append((fi, 0))
         incident[f.b].append((fi, 1))
 
-    def reduce_(arr, axis):
-        if algorithm == "max_product":
-            return arr.max(axis=axis)
-        m = arr.max(axis=axis, keepdims=True)
-        return (m + np.log(np.exp(arr - m).sum(axis=axis, keepdims=True))).squeeze(axis=axis)
-
     converged = False
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, BP_MAX_ITERS + 1):
         # variable -> factor from previous factor -> variable
         var_sums = [log_un[v] + sum((fac_msgs[fi][side] for fi, side in incident[v]),
                                     np.zeros(len(graph.domains[v])))
@@ -153,21 +145,23 @@ def run_loopy_bp(graph: FactorGraph, max_iters=100, damping=0.5, tol=1e-6,
         for fi, f in enumerate(graph.pairwise):
             to_a = var_sums[f.a] - fac_msgs[fi][0]
             to_b = var_sums[f.b] - fac_msgs[fi][1]
-            msg_a = reduce_(log_tab[fi] + to_b[None, :], axis=1)
-            msg_b = reduce_(log_tab[fi].T + to_a[None, :], axis=1)
-            msg_a = _normalize_log(damping * fac_msgs[fi][0] + (1 - damping) * _normalize_log(msg_a))
-            msg_b = _normalize_log(damping * fac_msgs[fi][1] + (1 - damping) * _normalize_log(msg_b))
+            msg_a = (log_tab[fi] + to_b[None, :]).max(axis=1)
+            msg_b = (log_tab[fi].T + to_a[None, :]).max(axis=1)
+            msg_a = _normalize_log(BP_DAMPING * fac_msgs[fi][0]
+                                   + (1 - BP_DAMPING) * _normalize_log(msg_a))
+            msg_b = _normalize_log(BP_DAMPING * fac_msgs[fi][1]
+                                   + (1 - BP_DAMPING) * _normalize_log(msg_b))
             delta = max(delta,
                         float(np.abs(msg_a - fac_msgs[fi][0]).max(initial=0.0)),
                         float(np.abs(msg_b - fac_msgs[fi][1]).max(initial=0.0)))
             new_msgs.append([msg_a, msg_b])
         fac_msgs = new_msgs
-        if delta < tol:
+        if delta < BP_TOL:
             converged = True
             break
     if not converged and graph.pairwise:
         logger.warning("loopy BP did not converge in %d iterations (delta %.2e)",
-                       max_iters, delta)
+                       BP_MAX_ITERS, delta)
     if not graph.pairwise:
         converged = True
 
@@ -218,9 +212,7 @@ def brute_force_map(graph: FactorGraph, max_space=1_000_000) -> Assignment:
 # ---------------------------------------------------------------------------
 
 def build_reform_factor_graph(descriptors: dict, contact_graph, repetition_graph,
-                              targets: dict, db, compact=(),
-                              params=DEFAULT_PARAMS, alpha=CONTACT_WEIGHT,
-                              beta=REPETITION_WEIGHT) -> FactorGraph:
+                              targets: dict, db, compact=()) -> FactorGraph:
     """Replacement MRF: one variable per part over the database candidates.
 
     Unaries gate candidates by target material and score OBB similarity
@@ -244,8 +236,7 @@ def build_reform_factor_graph(descriptors: dict, contact_graph, repetition_graph
     for mode in ("obb_only", "obb_plus_area"):
         if mode == "obb_plus_area" and not compact:
             continue
-        query_shape[mode] = shape_matrix(query_descs, cand_desc, mode=mode,
-                                         params=params)
+        query_shape[mode] = shape_matrix(query_descs, cand_desc, mode=mode)
     cand_match = {Material.WOOD: np.array([m == Material.WOOD for m in cand_mat]),
                   Material.METAL: np.array([m == Material.METAL for m in cand_mat])}
     for row, pid in enumerate(part_ids):
@@ -269,8 +260,7 @@ def build_reform_factor_graph(descriptors: dict, contact_graph, repetition_graph
     db_descs = [p.descriptor for p in db.parts]
     shape_mat = {}
     for mode in set(modes.values()):
-        shape_mat[mode] = shape_matrix(cand_desc, db_descs, mode=mode,
-                                       params=params)
+        shape_mat[mode] = shape_matrix(cand_desc, db_descs, mode=mode)
 
     mat_of = np.array([p.material == Material.WOOD for p in db.parts])
     u_idx = np.array([c.u for c in db.contacts], dtype=int)
@@ -301,7 +291,7 @@ def build_reform_factor_graph(descriptors: dict, contact_graph, repetition_graph
         sel_a = np.searchsorted(cand, domains[a])
         sel_b = np.searchsorted(cand, domains[b])
         pairwise.append(PairwiseFactor(a, b, full[np.ix_(sel_a, sel_b)],
-                                       weight=alpha, kind="contact"))
+                                       weight=CONTACT_WEIGHT, kind="contact"))
 
     for i, j in repetition_graph.edges:
         if i not in var_of or j not in var_of:
@@ -309,14 +299,13 @@ def build_reform_factor_graph(descriptors: dict, contact_graph, repetition_graph
         a, b = var_of[i], var_of[j]
         table = (domains[a][:, None] == domains[b][None, :]).astype(float)
         pairwise.append(PairwiseFactor(a, b, table,
-                                       weight=beta, kind="repetition"))
+                                       weight=REPETITION_WEIGHT, kind="repetition"))
 
     return FactorGraph(keys=keys, domains=domains, unaries=unaries, pairwise=pairwise)
 
 
 def build_material_factor_graph(descriptors: dict, contact_graph, repetition_graph,
-                                db, params=DEFAULT_PARAMS, alpha=CONTACT_WEIGHT,
-                                beta=REPETITION_WEIGHT) -> FactorGraph:
+                                db) -> FactorGraph:
     """Material-suggestion MRF over {wood, metal} with full shape kernels,
     spatial and contact-angle pairwise terms, and identity repetition."""
     if not db.parts:
@@ -325,8 +314,7 @@ def build_material_factor_graph(descriptors: dict, contact_graph, repetition_gra
     labels = [Material.WOOD, Material.METAL]
 
     shp = shape_matrix([descriptors[pid] for pid in part_ids],
-                       [p.descriptor for p in db.parts], mode="full",
-                       params=params)
+                       [p.descriptor for p in db.parts], mode="full")
     is_wood = np.array([p.material == Material.WOOD for p in db.parts])
     row = {pid: r for r, pid in enumerate(part_ids)}
 
@@ -349,8 +337,8 @@ def build_material_factor_graph(descriptors: dict, contact_graph, repetition_gra
         if e.i not in var_of or e.j not in var_of:
             continue
         d_ij = float(np.linalg.norm(dist[e.i] - dist[e.j]))
-        pr = np.exp(-((d_ij - d_uv) ** 2) / params.sigma_pr ** 2)
-        ca = contact_angle_similarity_vec(e.angle, ang_uv, params)
+        pr = np.exp(-((d_ij - d_uv) ** 2) / SIGMA_PR ** 2)
+        ca = contact_angle_similarity_vec(e.angle, ang_uv)
         si = shp[row[e.i]]
         sj = shp[row[e.j]]
         base_a = si[u_idx] * sj[v_idx] * pr * ca
@@ -362,13 +350,13 @@ def build_material_factor_graph(descriptors: dict, contact_graph, repetition_gra
                 mb = (wood_v == wi) & (wood_u == wj)
                 table[xi, xj] = base_a[ma].sum() + base_b[mb].sum()
         pairwise.append(PairwiseFactor(var_of[e.i], var_of[e.j], table,
-                                       weight=alpha, kind="contact"))
+                                       weight=CONTACT_WEIGHT, kind="contact"))
 
     for i, j in repetition_graph.edges:
         if i not in var_of or j not in var_of:
             continue
         pairwise.append(PairwiseFactor(var_of[i], var_of[j], np.eye(2),
-                                       weight=beta, kind="repetition"))
+                                       weight=REPETITION_WEIGHT, kind="repetition"))
 
     return FactorGraph(keys=part_ids, domains=[labels] * len(part_ids),
                        unaries=unaries, pairwise=pairwise)

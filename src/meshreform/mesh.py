@@ -113,12 +113,6 @@ class Model:
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate part ids")
 
-    def part_by_id(self, pid) -> Part:
-        for p in self.parts:
-            if p.id == pid:
-                return p
-        raise KeyError(pid)
-
     def all_vertices(self):
         if not self.parts:
             return np.zeros((0, 3))
@@ -138,18 +132,6 @@ class SurfaceSamples:
 
     def barycenter(self):
         return self.positions.mean(axis=0)
-
-    def transformed(self, matrix=None, translation=None):
-        pos = self.positions
-        nrm = self.normals
-        if matrix is not None:
-            m = np.asarray(matrix)
-            pos = pos @ m.T
-            nrm = nrm @ np.linalg.inv(m)  # rows @ inv == inv^T applied; renormalize below
-            nrm = nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
-        if translation is not None:
-            pos = pos + translation
-        return SurfaceSamples(pos, nrm, self.face_indices.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Optional
 
 import numpy as np
@@ -18,14 +18,18 @@ import numpy as np
 from . import assembly, config_opt, fabrication, inference
 from .database import (Database, DatabaseSource, build_database,
                        cluster_candidates, load_database)
-from .graphs import (ContactGraph, GROUND_ID, annotate_contact_angles,
-                     build_contact_graph, build_repetition_graph)
+from .graphs import (DEFAULT_CONTACT_DISTANCE, GROUND_ID, ContactGraph,
+                     annotate_contact_angles, build_contact_graph,
+                     build_repetition_graph)
 from .mesh import (Material, Model, Part, TriangleMesh, load_model,
                    normalize_model, sample_surface, save_model)
-from .part_analysis import analyze_part
-from .similarity import SimilarityParams, orientation_angles
+from .part_analysis import THICKNESS_BIN_WIDTH, analyze_part
+from .similarity import orientation_angles
 
 logger = logging.getLogger(__name__)
+
+# per-part surface samples behind descriptors and contact angles
+SURFACE_SAMPLES = 1000
 
 
 class StageError(RuntimeError):
@@ -37,24 +41,14 @@ class StageError(RuntimeError):
 
 @dataclass
 class PipelineConfig:
-    d_c: float = 0.01
-    similarity: SimilarityParams = field(default_factory=SimilarityParams)
-    alpha: float = 0.1
-    beta: float = 20.0
-    bp_max_iters: int = 100
-    bp_damping: float = 0.5
-    bp_tol: float = 1e-6
-    bp_algorithm: str = "max_product"
-    feasibility_threshold: float = 0.03
-    thickness_bin: float = 0.005
-    wall_margin: float = 0.004
-    penetration: float = 0.3
-    tenon_face_scale: float = 0.5
-    knn_k: int = 5
-    surface_samples: int = 1000
+    """Per-request settings. The tuned values the stages share (kernel
+    bandwidths, factor weights, message passing, feasibility, joint sizes)
+    are constants of the module that reads them."""
+
+    d_c: float = DEFAULT_CONTACT_DISTANCE
+    thickness_bin: float = THICKNESS_BIN_WIDTH
     contact_samples: int = 8000
     candidates_k: int = 80
-    enumeration_cap: int = 4096
     seed: int = 0
     target_materials: object = "suggest"   # "suggest" | "all=wood" | "all=metal" | {pid: mat}
     compact_parts: list = field(default_factory=list)
@@ -62,15 +56,17 @@ class PipelineConfig:
 
     def to_json(self):
         d = asdict(self)
-        d["similarity"] = self.similarity.to_json()
         d["joint_overrides"] = {f"{i},{j}": k for (i, j), k in self.joint_overrides.items()}
         return d
 
     @classmethod
     def from_json(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         d = dict(d)
-        if "similarity" in d:
-            d["similarity"] = SimilarityParams.from_json(d["similarity"])
         if "joint_overrides" in d:
             d["joint_overrides"] = {
                 tuple(int(x) for x in k.split(",")): v
@@ -107,7 +103,7 @@ def analyze_model(model: Model, cfg: PipelineConfig,
         raise ValueError("model has no analyzable parts (all tagged other)")
     if not normalized:
         model = normalize_model(model)
-    samples = {p.id: sample_surface(p, cfg.surface_samples, seed=cfg.seed)
+    samples = {p.id: sample_surface(p, SURFACE_SAMPLES, seed=cfg.seed)
                for p in model.parts}
     descriptors = {p.id: analyze_part(p, samples[p.id], bin_width=cfg.thickness_bin)
                    for p in model.parts}
@@ -125,14 +121,11 @@ def analyze_model(model: Model, cfg: PipelineConfig,
 # stages
 # ---------------------------------------------------------------------------
 
-def suggest_materials(analysis: ModelAnalysis, db: Database,
-                      cfg: PipelineConfig):
+def suggest_materials(analysis: ModelAnalysis, db: Database):
     graph = inference.build_material_factor_graph(
         analysis.descriptors, analysis.contact_graph, analysis.repetition_graph,
-        db, params=cfg.similarity, alpha=cfg.alpha, beta=cfg.beta)
-    result = inference.run_loopy_bp(graph, max_iters=cfg.bp_max_iters,
-                                    damping=cfg.bp_damping, tol=cfg.bp_tol,
-                                    algorithm=cfg.bp_algorithm)
+        db)
+    result = inference.run_loopy_bp(graph)
     return {pid: result.labels[pid] for pid in result.labels}, result
 
 
@@ -140,7 +133,7 @@ def resolve_targets(analysis: ModelAnalysis, db: Database, cfg: PipelineConfig):
     spec = cfg.target_materials
     ids = [p.id for p in analysis.model.parts]
     if spec == "suggest":
-        targets, _ = suggest_materials(analysis, db, cfg)
+        targets, _ = suggest_materials(analysis, db)
         return targets
     if isinstance(spec, str) and spec.startswith("all="):
         mat = Material(spec.split("=", 1)[1])
@@ -160,11 +153,8 @@ def reform_assignment(analysis: ModelAnalysis, targets, db: Database,
                       cfg: PipelineConfig):
     graph = inference.build_reform_factor_graph(
         analysis.descriptors, analysis.contact_graph, analysis.repetition_graph,
-        targets, db, compact=set(cfg.compact_parts), params=cfg.similarity,
-        alpha=cfg.alpha, beta=cfg.beta)
-    return inference.run_loopy_bp(graph, max_iters=cfg.bp_max_iters,
-                                  damping=cfg.bp_damping, tol=cfg.bp_tol,
-                                  algorithm=cfg.bp_algorithm)
+        targets, db, compact=set(cfg.compact_parts))
+    return inference.run_loopy_bp(graph)
 
 
 def place_and_restore(analysis: ModelAnalysis, assignment, db: Database,
@@ -172,7 +162,8 @@ def place_and_restore(analysis: ModelAnalysis, assignment, db: Database,
     placed = assembly.place_replacements(analysis.descriptors, assignment, db,
                                          query_samples=analysis.samples,
                                          seed=cfg.seed)
-    placed, report = assembly.restore_contacts(placed, analysis.contact_graph, db)
+    placed, report = assembly.restore_contacts(placed, analysis.contact_graph, db,
+                                               seed=cfg.seed)
     return placed, report
 
 
@@ -220,15 +211,14 @@ def optimize_angles(state: ReformedState, db: Database, cfg: PipelineConfig):
             id=pid, segment=desc.segment.copy(), thickness=desc.thickness,
             material=state.materials[pid],
             box=None if desc.is_linear else desc.obb)
-    constraints = config_opt.assess_angle_feasibility(
-        state.graph, state.materials, db, threshold=cfg.feasibility_threshold)
+    constraints = config_opt.assess_angle_feasibility(state.graph,
+                                                      state.materials, db)
     if not constraints:
         return None, [], []
     fixed = config_opt.determine_fixed_parts(parts, state.graph, constraints,
                                              repetition=state.repetition)
     sets = config_opt.enumerate_configurations(constraints, state.graph, parts,
-                                               fixed=fixed,
-                                               cap=cfg.enumeration_cap)
+                                               fixed=fixed)
     if not sets:
         logger.warning("no valid slide/rotate set; keeping configuration rigid")
         return (config_opt.all_rigid_configuration(constraints, parts, db,
@@ -288,21 +278,17 @@ def _query_contacts(state: ReformedState):
 
 def infer_joints(state: ReformedState, db: Database, cfg: PipelineConfig):
     return fabrication.infer_joint_types(_query_contacts(state), db,
-                                         k=cfg.knn_k, params=cfg.similarity,
                                          overrides=cfg.joint_overrides)
 
 
 def refine_and_form(state: ReformedState, assignments, cfg: PipelineConfig):
     boxes = {pid: d.obb for pid, d in state.descriptors.items()}
-    refinement = fabrication.refine_part_dimensions(
-        assignments, boxes, wall_margin=cfg.wall_margin,
-        penetration=cfg.penetration)
+    refinement = fabrication.refine_part_dimensions(assignments, boxes)
     geometry = []
     for a in assignments:
         try:
             geometry.append(fabrication.form_joint_geometry(
-                a, refinement.boxes, d_c=cfg.d_c,
-                face_scale=cfg.tenon_face_scale, penetration=cfg.penetration))
+                a, refinement.boxes, d_c=cfg.d_c))
         except ValueError as exc:
             logger.warning("joint %s not formed: %s", a.edge, exc)
     return refinement, geometry
@@ -472,7 +458,7 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
 def reformed_refresh(state: ReformedState, db, cfg) -> ReformedState:
     """Recompute descriptors and contact angles after re-posing."""
     descriptors = {pid: p.placed_descriptor(db) for pid, p in state.placed.items()}
-    samples = {pid: p.placed_samples(db, n=cfg.surface_samples, seed=cfg.seed)
+    samples = {pid: p.placed_samples(db, n=SURFACE_SAMPLES, seed=cfg.seed)
                for pid, p in state.placed.items()}
     graph = ContactGraph(nodes=state.graph.nodes)
     for e in state.graph.edges:

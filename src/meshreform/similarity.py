@@ -4,57 +4,36 @@ All kernels are symmetric, bounded in [0, 1], equal 1 on identical inputs,
 and consume only rigid-invariant descriptors.
 """
 
-from dataclasses import dataclass, asdict
-
 import numpy as np
 
 from .mesh import Material
 
 SHAPE_MODES = ("obb_only", "obb_plus_area", "full")
 
-
-@dataclass
-class SimilarityParams:
-    """Kernel bandwidths. Angles are in degrees."""
-
-    sigma_b: float = 0.1
-    sigma_r: float = 0.1
-    sigma_t: float = 0.02
-    sigma_pr: float = 0.2
-    sigma_ca: float = 10.0
-    sigma_oa: float = 360.0
-
-    def __post_init__(self):
-        for k, v in asdict(self).items():
-            if v <= 0:
-                raise ValueError(f"{k} must be positive")
-
-    def to_json(self):
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(**d)
+# kernel bandwidths; angles are in degrees
+SIGMA_B = 0.1       # OBB extents
+SIGMA_R = 0.1       # area ratio
+SIGMA_T = 0.02      # thickness
+SIGMA_PR = 0.2      # barycenter distance
+SIGMA_CA = 10.0     # contact angle
+SIGMA_OA = 360.0    # orientation angles
 
 
-DEFAULT_PARAMS = SimilarityParams()
-
-
-def obb_similarity(size_a, size_b, params=DEFAULT_PARAMS):
+def obb_similarity(size_a, size_b):
     """exp(-(L1 distance of sorted extents)^2 / sigma_b^2)."""
     l1 = float(np.abs(np.asarray(size_a) - np.asarray(size_b)).sum())
-    return float(np.exp(-(l1 * l1) / params.sigma_b ** 2))
+    return float(np.exp(-(l1 * l1) / SIGMA_B ** 2))
 
 
-def area_ratio_similarity(ra, rb, params=DEFAULT_PARAMS):
-    return float(np.exp(-((ra - rb) ** 2) / params.sigma_r ** 2))
+def area_ratio_similarity(ra, rb):
+    return float(np.exp(-((ra - rb) ** 2) / SIGMA_R ** 2))
 
 
-def thickness_similarity(ta, tb, params=DEFAULT_PARAMS):
-    return float(np.exp(-((ta - tb) ** 2) / params.sigma_t ** 2))
+def thickness_similarity(ta, tb):
+    return float(np.exp(-((ta - tb) ** 2) / SIGMA_T ** 2))
 
 
-def shape_similarity(a, b, mode="obb_only", params=DEFAULT_PARAMS):
+def shape_similarity(a, b, mode="obb_only"):
     """Product of OBB / area-ratio / thickness kernels per ``mode``.
 
     ``obb_only`` is the relaxed form used for part replacement,
@@ -63,11 +42,11 @@ def shape_similarity(a, b, mode="obb_only", params=DEFAULT_PARAMS):
     """
     if mode not in SHAPE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    s = obb_similarity(a.size_vec, b.size_vec, params)
+    s = obb_similarity(a.size_vec, b.size_vec)
     if mode in ("obb_plus_area", "full"):
-        s *= area_ratio_similarity(a.area_ratio, b.area_ratio, params)
+        s *= area_ratio_similarity(a.area_ratio, b.area_ratio)
     if mode == "full":
-        s *= thickness_similarity(a.thickness, b.thickness, params)
+        s *= thickness_similarity(a.thickness, b.thickness)
     return s
 
 
@@ -79,24 +58,24 @@ def material_similarity(a: Material, b: Material):
     return 1.0 if a == b else 0.0
 
 
-def spatial_similarity(d1, d2, params=DEFAULT_PARAMS):
+def spatial_similarity(d1, d2):
     """Gaussian kernel on the difference of part-barycenter distances."""
     if d1 < 0 or d2 < 0:
         raise ValueError("barycenter distances must be non-negative")
-    return float(np.exp(-((d1 - d2) ** 2) / params.sigma_pr ** 2))
+    return float(np.exp(-((d1 - d2) ** 2) / SIGMA_PR ** 2))
 
 
-def contact_angle_similarity(a, b, params=DEFAULT_PARAMS):
+def contact_angle_similarity(a, b):
     """Gaussian on angle difference; both N/A compare as 1, one-sided N/A
     as 0. Angles in [0, 90] degrees, None encodes N/A."""
     if a is None and b is None:
         return 1.0
     if a is None or b is None:
         return 0.0
-    return float(np.exp(-((a - b) ** 2) / params.sigma_ca ** 2))
+    return float(np.exp(-((a - b) ** 2) / SIGMA_CA ** 2))
 
 
-def contact_angle_similarity_vec(a, b_arr, params=DEFAULT_PARAMS):
+def contact_angle_similarity_vec(a, b_arr):
     """Vectorized ρ_ca of one angle against an array with NaN as N/A."""
     b_arr = np.asarray(b_arr, dtype=float)
     out = np.zeros(len(b_arr))
@@ -105,11 +84,11 @@ def contact_angle_similarity_vec(a, b_arr, params=DEFAULT_PARAMS):
         out[nan_b] = 1.0
         return out
     ok = ~nan_b
-    out[ok] = np.exp(-((a - b_arr[ok]) ** 2) / params.sigma_ca ** 2)
+    out[ok] = np.exp(-((a - b_arr[ok]) ** 2) / SIGMA_CA ** 2)
     return out
 
 
-def shape_matrix(descs_a, descs_b, mode="obb_only", params=DEFAULT_PARAMS):
+def shape_matrix(descs_a, descs_b, mode="obb_only"):
     """Vectorized ``shape_similarity`` over two descriptor lists: returns the
     (len(a), len(b)) kernel matrix."""
     if mode not in SHAPE_MODES:
@@ -117,15 +96,15 @@ def shape_matrix(descs_a, descs_b, mode="obb_only", params=DEFAULT_PARAMS):
     size_a = np.stack([d.size_vec for d in descs_a])
     size_b = np.stack([d.size_vec for d in descs_b])
     l1 = np.abs(size_a[:, None, :] - size_b[None, :, :]).sum(axis=2)
-    out = np.exp(-(l1 * l1) / params.sigma_b ** 2)
+    out = np.exp(-(l1 * l1) / SIGMA_B ** 2)
     if mode in ("obb_plus_area", "full"):
         ra = np.array([d.area_ratio for d in descs_a])
         rb = np.array([d.area_ratio for d in descs_b])
-        out = out * np.exp(-((ra[:, None] - rb[None, :]) ** 2) / params.sigma_r ** 2)
+        out = out * np.exp(-((ra[:, None] - rb[None, :]) ** 2) / SIGMA_R ** 2)
     if mode == "full":
         ta = np.array([d.thickness for d in descs_a])
         tb = np.array([d.thickness for d in descs_b])
-        out = out * np.exp(-((ta[:, None] - tb[None, :]) ** 2) / params.sigma_t ** 2)
+        out = out * np.exp(-((ta[:, None] - tb[None, :]) ** 2) / SIGMA_T ** 2)
     return out
 
 
@@ -136,11 +115,11 @@ def orientation_angles(axes_a, axes_b):
     return np.degrees(np.arccos(np.clip(dots, 0.0, 1.0))).reshape(9)
 
 
-def orientation_angle_similarity(a_vec, b_vec, params=DEFAULT_PARAMS):
+def orientation_angle_similarity(a_vec, b_vec):
     """exp(-|a - b|_2^2 / sigma_oa^2) on the 9-d orientation-angle vectors."""
     a_vec = np.asarray(a_vec, dtype=float)
     b_vec = np.asarray(b_vec, dtype=float)
     if a_vec.shape != (9,) or b_vec.shape != (9,):
         raise ValueError("orientation vectors must be 9-d")
     d2 = float(((a_vec - b_vec) ** 2).sum())
-    return float(np.exp(-d2 / params.sigma_oa ** 2))
+    return float(np.exp(-d2 / SIGMA_OA ** 2))

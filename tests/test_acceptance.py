@@ -296,15 +296,11 @@ def test_criterion_06_angle_optimization(corpus):
 # 7. material suggestion
 # ---------------------------------------------------------------------------
 
-def classify_fold(analysis, train_db, cfg=ACCEPT_CFG):
+def classify_fold(analysis, train_db):
     graph = build_material_factor_graph(analysis.descriptors,
                                         analysis.contact_graph,
-                                        analysis.repetition_graph, train_db,
-                                        params=cfg.similarity,
-                                        alpha=cfg.alpha, beta=cfg.beta)
-    return run_loopy_bp(graph, max_iters=cfg.bp_max_iters,
-                        damping=cfg.bp_damping, tol=cfg.bp_tol,
-                        algorithm=cfg.bp_algorithm).labels
+                                        analysis.repetition_graph, train_db)
+    return run_loopy_bp(graph).labels
 
 
 def test_criterion_07_material_suggestion(corpus):
@@ -372,7 +368,7 @@ def test_criterion_08_joint_inference(corpus):
                 orientation_vec=np.asarray(c.orientation_vec),
                 contact_point=0.5 * (pu.descriptor.barycenter + pv.descriptor.barycenter)))
             truth.append(c.joint_kind)
-        out = infer_joint_types(queries, train, k=ACCEPT_CFG.knn_k)
+        out = infer_joint_types(queries, train)
         for got, want, q in zip(out, truth, queries):
             total += 1
             kind_ok += got.joint.kind == want

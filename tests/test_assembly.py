@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from meshreform.assembly import (PlacedPart, place_replacements,
-                                 repose_to_segment, restore_contacts)
+from meshreform.assembly import (PlacedPart, closest_point_on_placed,
+                                 place_replacements, repose_to_segment,
+                                 restore_contacts)
 from meshreform.database import build_database, cluster_candidates, DatabaseSource
 from meshreform.graphs import ContactEdge, ContactGraph
 from meshreform.mesh import Material, Model, normalize_model, sample_surface
@@ -133,6 +134,19 @@ def test_already_contacting_zero_displacement():
     for pid, t in report.displacements.items():
         assert np.linalg.norm(t) < 2e-3
     assert report.objective_after <= report.objective_before + 1e-12
+
+
+def test_foot_points_follow_seed():
+    placed, graph, db = chair_like_setup()
+    _, report = restore_contacts(placed, graph, db, seed=3)
+    by_id = {p.part_id: p for p in placed}
+    samples = {pid: p.placed_samples(db, seed=3) for pid, p in by_id.items()}
+    assert report.foot_points
+    for e in graph.part_edges():
+        want = [closest_point_on_placed(by_id[pid], db, e.contact_point,
+                                        samples[pid]) for pid in (e.i, e.j)]
+        got = report.foot_points[e.key()]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_two_parts_gap_closes_exactly():

@@ -88,9 +88,9 @@ def test_pipeline_command(corpus, tmp_path):
     assert "export" in summary["stages"]
 
 
-def test_reform_subcommand_runs(corpus, tmp_path):
+def test_pipeline_command_reforms_to_wood(corpus, tmp_path):
     out = tmp_path / "run"
-    rc = main(["reform", "--model", corpus["query"], "--db", corpus["db"],
+    rc = main(["pipeline", "--model", corpus["query"], "--db", corpus["db"],
                "--out", str(out), "--config", _config_path(corpus["root"]),
                "--target-material", "all=wood"])
     assert rc == EXIT_OK
@@ -115,6 +115,19 @@ def test_missing_model_is_input_error(corpus, tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == EXIT_INPUT
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"contact_samples": 3000, "alpha": 0.1}, "alpha"),
+    ([["contact_samples", 3000]], "JSON object"),
+])
+def test_bad_config_is_input_error(corpus, tmp_path, capsys, config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["build-db", "--models", corpus["models"],
+               "--out", str(tmp_path / "db.json"), "--config", str(cfg)])
+    assert rc == EXIT_INPUT
+    assert named in capsys.readouterr().err
 
 
 def test_bad_db_is_input_error(corpus, tmp_path, capsys):

@@ -208,8 +208,7 @@ def test_oversized_tenon_shrinks_minimally():
     The rod already penetrates deep enough, so only the x cross-fit binds."""
     boxes = {0: aab([0, 0, 0.27], [0.010, 0.010, 0.27]),
              1: aab([0, 0, 0.52], [0.0075, 0.2, 0.02])}
-    out = refine_part_dimensions([mt_assignment((0, 1), 0, 1)], boxes,
-                                 wall_margin=0.004)
+    out = refine_part_dimensions([mt_assignment((0, 1), 0, 1)], boxes)
     assert not out.violations
     # constraint holds for both tenon cross axes (x and y here)
     tb = out.boxes[0]

@@ -85,14 +85,6 @@ def test_unary_scaling_leaves_decoding_unchanged():
     assert run_loopy_bp(scaled).indices == base.indices
 
 
-def test_sum_product_mode_runs():
-    rng = np.random.default_rng(16)
-    g = random_graph(rng, 4, 3, random_tree_edges(rng, 4))
-    out = run_loopy_bp(g, algorithm="sum_product")
-    assert out.converged
-    assert set(out.indices) == set(range(4))
-
-
 def test_nonfinite_factor_rejected():
     with pytest.raises(ValueError):
         FactorGraph(keys=[0], domains=[np.arange(2)],

@@ -1,5 +1,8 @@
+import dataclasses
+import glob
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +122,15 @@ def test_all_other_parts_rejected(small_gen_config_mod):
         analyze_model(src.model, PipelineConfig())
 
 
+def test_every_config_field_is_read():
+    """A PipelineConfig field that no stage reads is a knob without a caller."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "meshreform")
+    text = "".join(open(p).read() for p in glob.glob(os.path.join(src, "*.py")))
+    unread = [f.name for f in dataclasses.fields(PipelineConfig)
+              if not re.search(rf"\bcfg\.{f.name}\b", text)]
+    assert not unread
+
+
 def test_config_roundtrip(tmp_path):
     cfg = PipelineConfig(d_c=0.02, seed=5,
                          joint_overrides={(0, 3): "lap"})
@@ -128,4 +140,4 @@ def test_config_roundtrip(tmp_path):
     assert back.d_c == 0.02
     assert back.seed == 5
     assert back.joint_overrides == {(0, 3): "lap"}
-    assert back.similarity == cfg.similarity
+    assert back == cfg

@@ -5,7 +5,7 @@ import pytest
 
 from meshreform.mesh import Material, sample_surface
 from meshreform.part_analysis import analyze_part
-from meshreform.similarity import (SimilarityParams, contact_angle_similarity,
+from meshreform.similarity import (SIGMA_R, SIGMA_T, contact_angle_similarity,
                                    contact_angle_similarity_vec,
                                    material_similarity, obb_similarity,
                                    orientation_angle_similarity,
@@ -46,11 +46,10 @@ def test_thickness_spot_value():
 def test_full_mode_is_product():
     a = descriptor([0.6, 0.3, 0.1], seed=1)
     b = descriptor([0.5, 0.35, 0.12], seed=2)
-    p = SimilarityParams()
-    prod = (obb_similarity(a.size_vec, b.size_vec, p)
-            * math.exp(-(a.area_ratio - b.area_ratio) ** 2 / p.sigma_r ** 2)
-            * math.exp(-(a.thickness - b.thickness) ** 2 / p.sigma_t ** 2))
-    assert shape_similarity(a, b, mode="full", params=p) == pytest.approx(prod, abs=1e-12)
+    prod = (obb_similarity(a.size_vec, b.size_vec)
+            * math.exp(-(a.area_ratio - b.area_ratio) ** 2 / SIGMA_R ** 2)
+            * math.exp(-(a.thickness - b.thickness) ** 2 / SIGMA_T ** 2))
+    assert shape_similarity(a, b, mode="full") == pytest.approx(prod, abs=1e-12)
 
 
 def test_material_table():
@@ -117,12 +116,11 @@ def test_orientation_spot_value():
 
 def test_kernels_symmetric_and_bounded():
     rng = np.random.default_rng(11)
-    p = SimilarityParams()
     for _ in range(50):
         ea = rng.uniform(0.01, 1.0, 3)
         eb = rng.uniform(0.01, 1.0, 3)
-        s1 = obb_similarity(np.sort(ea)[::-1], np.sort(eb)[::-1], p)
-        s2 = obb_similarity(np.sort(eb)[::-1], np.sort(ea)[::-1], p)
+        s1 = obb_similarity(np.sort(ea)[::-1], np.sort(eb)[::-1])
+        s2 = obb_similarity(np.sort(eb)[::-1], np.sort(ea)[::-1])
         assert s1 == pytest.approx(s2, abs=1e-15)
         assert 0.0 < s1 <= 1.0
         d1, d2 = rng.uniform(0, 1, 2)
@@ -151,13 +149,3 @@ def test_kernels_rigid_invariant():
     for mode in ("obb_only", "obb_plus_area", "full"):
         assert shape_similarity(a, ref, mode=mode) == pytest.approx(
             shape_similarity(b, ref, mode=mode), abs=1e-9)
-
-
-def test_params_must_be_positive():
-    with pytest.raises(ValueError):
-        SimilarityParams(sigma_b=0.0)
-
-
-def test_params_roundtrip():
-    p = SimilarityParams(sigma_ca=12.0)
-    assert SimilarityParams.from_json(p.to_json()) == p
