@@ -5,8 +5,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from . import kernels
 from .mesh import SurfaceSamples, TriangleMesh, sample_surface, Part
 from .obb import OrientedBox
 from .part_analysis import PartDescriptor, ThicknessEstimate, describe_part
@@ -92,9 +92,9 @@ def place_replacements(descriptors: dict, assignment, db,
         if r_mesh is not None:
             n = min(rms_points, max(3 * len(r_mesh.faces), 16))
             cand_pts = sample_surface(Part(id=src_idx, mesh=r_mesh), n, seed=seed).positions
-        q_pts = None
+        q_tree = None
         if query_samples is not None and pid in query_samples:
-            q_pts = query_samples[pid].positions[:rms_points]
+            q_tree = cKDTree(query_samples[pid].positions[:rms_points])
 
         best = None
         best_rms = np.inf
@@ -102,11 +102,12 @@ def place_replacements(descriptors: dict, assignment, db,
             axes_q = q.obb.axes * signs[:, None]
             linear = axes_q.T @ s_diag @ r.obb.axes
             offset = q.obb.center - linear @ r.obb.center
-            if cand_pts is None or q_pts is None:
+            if cand_pts is None or q_tree is None:
                 best = (linear, offset, axes_q)
                 break
             mapped = cand_pts @ linear.T + offset
-            rms = float(np.sqrt(kernels.nearest_sq_dists(mapped, q_pts).mean()))
+            d = q_tree.query(mapped)[0]
+            rms = float(np.sqrt((d * d).mean()))
             if rms < best_rms:
                 best_rms = rms
                 best = (linear, offset, axes_q)

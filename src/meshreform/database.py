@@ -18,6 +18,7 @@ DB_VERSION = 1
 ANGLE_BIN_WIDTH = 5.0
 ANGLE_BIN_COUNT = 18
 FEASIBILITY_THRESHOLD = 0.03
+CANDIDATES_K = 80
 
 
 class DatabaseVersionError(ValueError):
@@ -281,7 +282,7 @@ def _kmeans(features, k, seed, max_iters=100):
     return labels, centers, sse_trace
 
 
-def cluster_candidates(db: Database, k=80, seed=0) -> Database:
+def cluster_candidates(db: Database, k=CANDIDATES_K, seed=0) -> Database:
     """Select representative parts: drop congruent duplicates, k-means the
     rest on the 5-d features, keep the member nearest each centroid."""
     pool = [p for p in db.parts if not p.congruent_duplicate]

@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from . import kernels
 from .mesh import Model, SurfaceSamples
 from .part_analysis import PartDescriptor
 
@@ -15,6 +15,7 @@ logger = logging.getLogger(__name__)
 
 GROUND_ID = -1
 DEFAULT_CONTACT_DISTANCE = 0.01
+CONTACT_SAMPLES = 8000      # dense surface samples per part behind contacts
 CURVILINEAR_NEIGHBORHOOD = 0.05
 CONGRUENCE_EXTENT_TOL = 0.02
 CONGRUENCE_RMS_TOL = 0.01
@@ -143,6 +144,7 @@ def build_contact_graph(model: Model, samples: dict,
     ids = [p.id for p in model.parts]
     pts = {pid: samples[pid].positions for pid in ids}
     aabb = {pid: (pts[pid].min(axis=0), pts[pid].max(axis=0)) for pid in ids}
+    trees = {}   # built on first use: parts in no overlapping pair need none
 
     graph = ContactGraph(nodes=list(ids))
     for i, j in itertools.combinations(ids, 2):
@@ -154,12 +156,18 @@ def build_contact_graph(model: Model, samples: dict,
         b = pts[j][((pts[j] >= lo) & (pts[j] <= hi)).all(axis=1)]
         if len(a) == 0 or len(b) == 0:
             continue
-        d2a = kernels.nearest_sq_dists(a, b)
-        dmin = float(np.sqrt(d2a.min()))
+        for pid in (i, j):
+            if pid not in trees:
+                trees[pid] = cKDTree(pts[pid])
+        # A sample outside the crop box is farther than d_c from every
+        # sample of the other part, so the whole part's tree finds the same
+        # neighbours within d_c as the cropped set would.
+        d_a = trees[j].query(a, distance_upper_bound=d_c)[0]
+        dmin = float(d_a.min())
         if dmin >= d_c:
             continue
-        d2b = kernels.nearest_sq_dists(b, a)
-        near = np.vstack([a[d2a < d_c * d_c], b[d2b < d_c * d_c]])
+        d_b = trees[i].query(b, distance_upper_bound=d_c)[0]
+        near = np.vstack([a[d_a < d_c], b[d_b < d_c]])
         graph.edges.append(ContactEdge(i, j, near.mean(axis=0), min_distance=dmin))
 
     # ground contacts (z-up convention)
@@ -226,10 +234,13 @@ def annotate_contact_angles(graph: ContactGraph, descriptors: dict,
 # ---------------------------------------------------------------------------
 
 def _alignments():
+    """(perm, inverse perm, signs) of the 48 axis permutations and
+    reflections."""
     out = []
     for perm in itertools.permutations(range(3)):
+        inv = np.argsort(perm)
         for signs in itertools.product((1.0, -1.0), repeat=3):
-            out.append((perm, np.array(signs)))
+            out.append((list(perm), inv, np.array(signs)))
     return out
 
 
@@ -241,22 +252,20 @@ def congruence_rms(desc_a: PartDescriptor, pts_a, desc_b: PartDescriptor, pts_b,
     """Smallest symmetric RMS nearest-point distance over the 48 box-frame
     alignments (axis permutations and reflections) mapping b onto a.
 
-    Alignments abort as soon as their running distance sum exceeds the best
-    one so far; ``stop_below`` short-circuits the scan once an alignment is
-    clearly congruent.
+    Both sets are searched in their own box frames. An alignment maps b's
+    local points into a's frame; it is an isometry, so its inverse maps a's
+    local points into b's, and one tree per set serves all 48.
+    ``stop_below`` ends the scan once an alignment is clearly congruent.
     """
-    a_local_axes = desc_a.obb.axes
-    a_c = desc_a.obb.center
+    a_local = desc_a.obb.to_local(pts_a)
     b_local = desc_b.obb.to_local(pts_b)
+    tree_a, tree_b = cKDTree(a_local), cKDTree(b_local)
     count = len(pts_a) + len(pts_b)
     best_sum = np.inf
-    for perm, signs in _ALIGNMENTS:
-        mapped = (b_local[:, perm] * signs) @ a_local_axes + a_c
-        cap = best_sum if np.isfinite(best_sum) else 1e30
-        d2 = kernels.nearest_sq_sum_capped(mapped, pts_a, cap)
-        if not np.isfinite(d2):
-            continue
-        d2 += kernels.nearest_sq_sum_capped(pts_a, mapped, cap - d2)
+    for perm, inv, signs in _ALIGNMENTS:
+        d_ba = tree_a.query(b_local[:, perm] * signs)[0]
+        d_ab = tree_b.query((a_local * signs)[:, inv])[0]
+        d2 = float((d_ba * d_ba).sum() + (d_ab * d_ab).sum())
         if d2 < best_sum:
             best_sum = d2
             if stop_below is not None and np.sqrt(best_sum / count) < stop_below:

@@ -1,10 +1,11 @@
-"""Hot numeric kernels: ray casting, nearest-point queries, box occupancy.
+"""Hot numeric kernels: ray casting and box occupancy.
 
-Each kernel is one vectorized numpy implementation. The ray and
-nearest-point kernels work through their queries in chunks, so that the
-pairwise intermediate arrays stay a few million entries long whatever the
-input size. The tests check every kernel against a per-element loop or a
-dense distance matrix.
+Each kernel is one vectorized numpy implementation. The ray kernel works
+through its rays in chunks, so that the ray x triangle intermediate arrays
+stay a few million entries long whatever the mesh size. The tests check
+every kernel against a per-element loop. Nearest-point search is not here:
+the contact graph, congruence and placement query ``scipy.spatial.cKDTree``
+directly.
 """
 
 import numpy as np
@@ -52,42 +53,6 @@ def ray_mesh_first_hit(origins, dirs, v0, v1, v2, min_t=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# nearest-point queries between sample sets
-# ---------------------------------------------------------------------------
-
-def nearest_sq_dists(query, ref):
-    """Squared distance from each query point to its nearest ref point
-    (inf for every query point when ``ref`` is empty)."""
-    n = query.shape[0]
-    out = np.empty(n)
-    if ref.shape[0] == 0:
-        out.fill(np.inf)
-        return out
-    chunk = max(1, int(2_000_000 // max(1, ref.shape[0])))
-    for s in range(0, n, chunk):
-        d = query[s:s + chunk, None, :] - ref[None, :, :]
-        out[s:s + chunk] = np.einsum("ijk,ijk->ij", d, d).min(axis=1)
-    return out
-
-
-def nearest_sq_sum_capped(query, ref, cap):
-    """Sum of nearest squared distances, aborted (returning inf) once the
-    running total exceeds ``cap``. Lets alignment scans bail out early.
-    With an empty ``ref`` every distance is inf, and so is the sum of a
-    non-empty ``query``."""
-    if ref.shape[0] == 0:
-        return np.inf if query.shape[0] else 0.0
-    total = 0.0
-    chunk = max(1, int(2_000_000 // ref.shape[0]))
-    for s in range(0, query.shape[0], chunk):
-        d = query[s:s + chunk, None, :] - ref[None, :, :]
-        total += float(np.einsum("ijk,ijk->ij", d, d).min(axis=1).sum())
-        if total > cap:
-            return np.inf
-    return total
-
-
-# ---------------------------------------------------------------------------
 # point-in-oriented-box occupancy (voxel oracles, proxy CSG checks)
 # ---------------------------------------------------------------------------
 
@@ -113,6 +78,4 @@ def warmup():
     pts = np.zeros((2, 3))
     tri = np.array([[[0.0, 0, 0]], [[1.0, 0, 0]], [[0.0, 1, 0]]])
     ray_mesh_first_hit(pts, pts + [0.0, 0.0, 1.0], tri[0], tri[1], tri[2])
-    nearest_sq_dists(pts, pts)
-    nearest_sq_sum_capped(pts, pts, 1.0)
     points_in_boxes(pts, np.zeros((1, 3)), np.eye(3)[None], np.ones((1, 3)))

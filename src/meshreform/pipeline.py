@@ -16,11 +16,11 @@ from typing import Optional
 import numpy as np
 
 from . import assembly, config_opt, fabrication, inference
-from .database import (Database, DatabaseSource, build_database,
-                       cluster_candidates, load_database)
-from .graphs import (DEFAULT_CONTACT_DISTANCE, GROUND_ID, ContactGraph,
-                     annotate_contact_angles, build_contact_graph,
-                     build_repetition_graph)
+from .database import (CANDIDATES_K, Database, DatabaseSource,
+                       build_database, cluster_candidates, load_database)
+from .graphs import (CONTACT_SAMPLES, DEFAULT_CONTACT_DISTANCE, GROUND_ID,
+                     ContactGraph, annotate_contact_angles,
+                     build_contact_graph, build_repetition_graph)
 from .mesh import (Material, Model, Part, TriangleMesh, load_model,
                    normalize_model, sample_surface, save_model)
 from .part_analysis import THICKNESS_BIN_WIDTH, analyze_part
@@ -30,6 +30,9 @@ logger = logging.getLogger(__name__)
 
 # per-part surface samples behind descriptors and contact angles
 SURFACE_SAMPLES = 1000
+
+# JSON types a config value may take, by field type (bools are not numbers)
+_JSON_TYPES = {int: (int,), float: (int, float), list: (list,), dict: (dict,)}
 
 
 class StageError(RuntimeError):
@@ -47,8 +50,8 @@ class PipelineConfig:
 
     d_c: float = DEFAULT_CONTACT_DISTANCE
     thickness_bin: float = THICKNESS_BIN_WIDTH
-    contact_samples: int = 8000
-    candidates_k: int = 80
+    contact_samples: int = CONTACT_SAMPLES
+    candidates_k: int = CANDIDATES_K
     seed: int = 0
     target_materials: object = "suggest"   # "suggest" | "all=wood" | "all=metal" | {pid: mat}
     compact_parts: list = field(default_factory=list)
@@ -66,6 +69,13 @@ class PipelineConfig:
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        for f in fields(cls):
+            if f.name not in d or f.type not in _JSON_TYPES:
+                continue
+            value = d[f.name]
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
+                raise ValueError(f"config key {f.name!r} must be "
+                                 f"{f.type.__name__}, got {value!r}")
         d = dict(d)
         if "joint_overrides" in d:
             d["joint_overrides"] = {

@@ -6,7 +6,8 @@ from meshreform.assembly import (PlacedPart, closest_point_on_placed,
                                  restore_contacts)
 from meshreform.database import build_database, cluster_candidates, DatabaseSource
 from meshreform.graphs import ContactEdge, ContactGraph
-from meshreform.mesh import Material, Model, normalize_model, sample_surface
+from meshreform.mesh import (Material, Model, Part, TriangleMesh,
+                             normalize_model, sample_surface)
 from meshreform.part_analysis import analyze_part
 from meshreform.pipeline import PipelineConfig
 from meshreform.synthetic import GeneratorConfig, arc_tube, rod_part
@@ -65,6 +66,33 @@ def test_dominant_scale_rule():
     # dominant extent matches the query part, cross extents stay the source's
     assert box.half_extents[0] == pytest.approx(descs[0].obb.half_extents[0], abs=1e-9)
     assert box.half_extents[1] == pytest.approx(r.obb.half_extents[1], abs=1e-9)
+
+
+def l_bar_mesh():
+    """A bar with a foot at one end on one side: no proper rotation other
+    than the identity maps it onto itself."""
+    bar = make_box_part(0, [0, 0, 0], [1.0, 0.1, 0.1]).mesh
+    foot = make_box_part(0, [0.45, 0.1, 0], [0.1, 0.1, 0.1]).mesh
+    return TriangleMesh(np.vstack([bar.vertices, foot.vertices]),
+                        np.vstack([bar.faces, foot.faces + len(bar.vertices)]))
+
+
+@pytest.mark.parametrize("turn", [np.diag([1.0, 1, 1]), np.diag([-1.0, -1, 1]),
+                                  np.diag([-1.0, 1, -1]), np.diag([1.0, -1, -1])])
+def test_placement_picks_the_matching_rotation(turn):
+    """Of the four proper alignments of the candidate's box onto the query's,
+    the one that lays the foot on the query's foot wins."""
+    source = Part(id=0, mesh=l_bar_mesh(), material=Material.WOOD)
+    db = cluster_candidates(build_database(
+        [DatabaseSource(model=Model(parts=[source]), name="l")],
+        PipelineConfig(contact_samples=1500)), k=1)
+    query = Part(id=0, mesh=l_bar_mesh().transformed(matrix=turn))
+    model, samples, descs = analyzed_model([query])
+    placed = place(descs, {0: db.candidates[0]}, db, samples)[0]
+    moved = placed.transform_points(db.part(placed.source_index).mesh.vertices)
+    want = model.parts[0].mesh.vertices
+    gaps = np.linalg.norm(moved[:, None, :] - want[None, :, :], axis=-1).min(axis=1)
+    assert gaps.max() < 0.02
 
 
 def test_curved_tube_lands_on_rod_endpoints():

@@ -120,6 +120,8 @@ def test_missing_model_is_input_error(corpus, tmp_path, capsys):
 @pytest.mark.parametrize("config, named", [
     ({"contact_samples": 3000, "alpha": 0.1}, "alpha"),
     ([["contact_samples", 3000]], "JSON object"),
+    ({"seed": "3"}, "seed"),
+    ({"contact_samples": 1.5}, "contact_samples"),
 ])
 def test_bad_config_is_input_error(corpus, tmp_path, capsys, config, named):
     cfg = tmp_path / "cfg.json"

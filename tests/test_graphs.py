@@ -1,14 +1,19 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from meshreform import kernels
+from meshreform import synthetic
 from meshreform.graphs import (GROUND_ID, build_contact_graph,
                                build_repetition_graph, congruence_rms,
                                estimate_contact_angle, fold_angle_deg,
                                annotate_contact_angles)
-from meshreform.mesh import Model, Part, TriangleMesh, normalize_model, sample_surface
+from meshreform.mesh import (Model, Part, SurfaceSamples, TriangleMesh,
+                             normalize_model, sample_surface)
+from meshreform.obb import OrientedBox
 from meshreform.part_analysis import analyze_part
 from conftest import make_box_part, random_rotation
 
@@ -20,10 +25,109 @@ def analyzed(model, n=1000, dense=1500):
     return samples, dense_s, descs
 
 
+def oracle_nearest(query, ref):
+    """Row minima of the dense (n, m) squared-distance matrix, built a block
+    of query rows at a time."""
+    out = np.empty(query.shape[0])
+    for s in range(0, query.shape[0], 256):
+        d = query[s:s + 256, None, :] - ref[None, :, :]
+        out[s:s + 256] = (d * d).sum(axis=-1).min(axis=1)
+    return out
+
+
 def brute_force_min_distance(pa, pb):
     """O(n^2) oracle over the same sample sets the builder uses."""
-    d = pa[:, None, :] - pb[None, :, :]
-    return float(np.sqrt((d * d).sum(-1).min()))
+    return float(np.sqrt(oracle_nearest(pa, pb).min()))
+
+
+def contact_edges_reference(model, samples, d_c):
+    """The contact scan written as cropped-against-cropped dense distance
+    matrices: (i, j, contact point, min distance) per part-part edge."""
+    pts = {p.id: samples[p.id].positions for p in model.parts}
+    edges = []
+    for i, j in itertools.combinations([p.id for p in model.parts], 2):
+        lo = np.maximum(pts[i].min(axis=0), pts[j].min(axis=0)) - d_c
+        hi = np.minimum(pts[i].max(axis=0), pts[j].max(axis=0)) + d_c
+        a = pts[i][((pts[i] >= lo) & (pts[i] <= hi)).all(axis=1)]
+        b = pts[j][((pts[j] >= lo) & (pts[j] <= hi)).all(axis=1)]
+        if len(a) == 0 or len(b) == 0:
+            continue
+        d2a = oracle_nearest(a, b)
+        dmin = float(np.sqrt(d2a.min()))
+        if dmin >= d_c:
+            continue
+        d2b = oracle_nearest(b, a)
+        near = np.vstack([a[d2a < d_c * d_c], b[d2b < d_c * d_c]])
+        edges.append((i, j, near.mean(axis=0), dmin))
+    return edges
+
+
+def assert_edges_match_reference(model, samples, d_c, min_edges=0):
+    got = build_contact_graph(model, samples, d_c=d_c).part_edges()
+    want = contact_edges_reference(model, samples, d_c)
+    assert len(want) >= min_edges
+    assert [(e.i, e.j) for e in got] == [(i, j) for i, j, _, _ in want]
+    for e, (_, _, point, dmin) in zip(got, want):
+        assert np.abs(e.contact_point - point).max() <= 1e-12
+        assert e.min_distance == pytest.approx(dmin, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("generator, seed", [
+    ("wood_table", 0), ("metal_table", 1), ("mixed_table", 2),
+    ("wood_bed", 3), ("metal_bed", 4),
+    ("wood_chair", 5), ("metal_chair", 6), ("mixed_chair", 7),
+])
+def test_contact_graph_matches_dense_reference(generator, seed):
+    parts = getattr(synthetic, generator)(np.random.default_rng(seed),
+                                          synthetic.GeneratorConfig()).parts
+    model = normalize_model(Model(parts=parts))
+    dense = {p.id: sample_surface(p, 2000, seed=1) for p in model.parts}
+    assert_edges_match_reference(model, dense, 0.01, min_edges=3)
+
+
+def _samples(pos):
+    n = len(pos)
+    return SurfaceSamples(pos, np.tile([1.0, 0, 0], (n, 1)), np.zeros(n, dtype=int))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), sizes=st.lists(st.integers(1, 80),
+                                                        min_size=2, max_size=4),
+       d_c=st.floats(0.01, 0.5))
+def test_contact_edges_property(seed, sizes, d_c):
+    """Scattered sample clouds of any size, near or apart, get the edges,
+    contact points and distances of the dense reference."""
+    rng = np.random.default_rng(seed)
+    model = Model(parts=[make_box_part(k, [0, 0, 0], [1, 1, 1])
+                         for k in range(len(sizes))])
+    samples = {k: _samples(rng.normal(scale=0.3, size=(n, 3))
+                           + rng.uniform(-0.5, 0.5, 3))
+               for k, n in enumerate(sizes)}
+    assert_edges_match_reference(model, samples, d_c)
+
+
+def _facing_grids(gap):
+    """Two box parts with sample grids on parallel planes ``gap`` apart in x;
+    every grid coordinate is a dyadic fraction, so distances are exact."""
+    yz = np.array([[y, z] for y in np.arange(0, 1, 0.125)
+                   for z in np.arange(0, 1, 0.125)])
+    samples = {pid: _samples(np.column_stack([np.full(len(yz), x), yz]))
+               for pid, x in ((0, 0.0), (1, gap))}
+    model = Model(parts=[make_box_part(0, [-0.5, 0.5, 0.5], [1, 1, 1]),
+                         make_box_part(1, [gap + 0.5, 0.5, 0.5], [1, 1, 1])])
+    return model, samples
+
+
+def test_sample_sets_exactly_dc_apart_form_no_edge():
+    d_c = 0.25
+    model, samples = _facing_grids(d_c)
+    assert build_contact_graph(model, samples, d_c=d_c).part_edges() == []
+    # a hair closer, every sample of both grids is in contact
+    model, samples = _facing_grids(d_c - 2.0 ** -20)
+    edges = build_contact_graph(model, samples, d_c=d_c).part_edges()
+    assert len(edges) == 1
+    assert edges[0].min_distance == d_c - 2.0 ** -20
+    assert np.allclose(edges[0].contact_point, [(d_c - 2.0 ** -20) / 2, 0.4375, 0.4375])
 
 
 def test_touching_cubes_edge_and_contact_point():
@@ -217,3 +321,73 @@ def test_congruence_invariant_under_model_rotation():
         samples, _, descs = analyzed(model)
         rep = build_repetition_graph(model, descs, samples)
         assert (0, 1) in rep.edges
+
+
+def capped_sum(query, ref, cap):
+    """Sum of nearest squared distances, inf once the running total of a
+    block of rows exceeds ``cap``."""
+    total = 0.0
+    for s in range(0, len(query), 256):
+        total += float(oracle_nearest(query[s:s + 256], ref).sum())
+        if total > cap:
+            return np.inf
+    return total
+
+
+def congruence_rms_reference(desc_a, pts_a, desc_b, pts_b):
+    """The 48-alignment scan on world-frame points with an early abort: each
+    alignment maps b onto a and stops once its sum passes the best so far."""
+    b_local = desc_b.obb.to_local(pts_b)
+    count = len(pts_a) + len(pts_b)
+    best_sum = np.inf
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            mapped = ((b_local[:, list(perm)] * signs) @ desc_a.obb.axes
+                      + desc_a.obb.center)
+            cap = best_sum if np.isfinite(best_sum) else 1e30
+            d2 = capped_sum(mapped, pts_a, cap)
+            if not np.isfinite(d2):
+                continue
+            d2 += capped_sum(pts_a, mapped, cap - d2)
+            best_sum = min(best_sum, d2)
+    return float(np.sqrt(best_sum / count))
+
+
+@pytest.mark.parametrize("generator, seed", [
+    ("wood_table", 0), ("metal_bed", 4), ("wood_chair", 5),
+])
+def test_congruence_matches_dense_reference(generator, seed):
+    parts = getattr(synthetic, generator)(np.random.default_rng(seed),
+                                          synthetic.GeneratorConfig()).parts
+    model = normalize_model(Model(parts=parts[:6]))
+    samples = {p.id: sample_surface(p, 250, seed=p.id) for p in model.parts}
+    descs = {p.id: analyze_part(p, samples[p.id]) for p in model.parts}
+    rms = []
+    for i, j in itertools.combinations(descs, 2):
+        pa, pb = samples[i].positions, samples[j].positions
+        got = congruence_rms(descs[i], pa, descs[j], pb, stop_below=None)
+        want = congruence_rms_reference(descs[i], pa, descs[j], pb)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        rms.append(got)
+    # both decisions occur: some pairs are congruent copies, some are not
+    assert min(rms) < 0.01 < max(rms)
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+def test_congruence_finds_copy_under_any_frame_labelling(perm):
+    """A translated copy whose box axes are listed in another order and
+    sign is found exactly, cyclic relabellings included."""
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(size=(200, 3)) * [0.8, 0.3, 0.1]
+    rot = random_rotation(rng)
+    half = np.array([0.4, 0.15, 0.05])
+    shift = np.array([2.0, -1.0, 0.5])
+    signs = np.array([1.0, -1.0, 1.0])
+    desc_a = SimpleNamespace(obb=OrientedBox(np.zeros(3), rot, half))
+    desc_b = SimpleNamespace(obb=OrientedBox(
+        shift, rot[list(perm)] * signs[:, None], half[list(perm)]))
+    pts_a = pts @ rot
+    pts_b = pts_a + shift
+    got = congruence_rms(desc_a, pts_a, desc_b, pts_b, stop_below=None)
+    assert got < 1e-12
+    assert congruence_rms_reference(desc_a, pts_a, desc_b, pts_b) < 1e-12

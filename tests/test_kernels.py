@@ -1,11 +1,8 @@
 """The numpy kernels against per-element references: Moller-Trumbore and
-point-in-box loops written out one ray, triangle, point and box at a time,
-and a dense distance matrix for nearest-point queries."""
+point-in-box loops written out one ray, triangle, point and box at a time."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from meshreform import kernels
 
@@ -43,14 +40,6 @@ def points_in_boxes_loops(points, centers, axes, half_extents, tol=1e-9):
     return out
 
 
-def oracle_nearest(query, ref):
-    """Row minima of the dense (n, m) squared-distance matrix."""
-    if ref.shape[0] == 0:
-        return np.full(query.shape[0], np.inf)
-    d = query[:, None, :] - ref[None, :, :]
-    return (d * d).sum(axis=-1).min(axis=1)
-
-
 @pytest.fixture
 def tris():
     rng = np.random.default_rng(3)
@@ -85,32 +74,6 @@ def test_ray_simple_hit():
     assert np.isinf(miss[0])
 
 
-def test_nearest_paths_agree():
-    rng = np.random.default_rng(5)
-    q = rng.normal(size=(200, 3))
-    r = rng.normal(size=(150, 3))
-    assert np.allclose(kernels.nearest_sq_dists(q, r), oracle_nearest(q, r))
-
-
-def test_capped_sum_matches_uncapped():
-    rng = np.random.default_rng(6)
-    q = rng.normal(size=(50, 3))
-    r = rng.normal(size=(60, 3))
-    exact = oracle_nearest(q, r).sum()
-    got = kernels.nearest_sq_sum_capped(q, r, 1e30)
-    assert abs(got - exact) < 1e-9
-    assert np.isinf(kernels.nearest_sq_sum_capped(q, r, exact * 0.5))
-
-
-def test_empty_reference_is_infinitely_far():
-    q = np.zeros((3, 3))
-    empty = np.zeros((0, 3))
-    assert np.isinf(kernels.nearest_sq_dists(q, empty)).all()
-    assert np.isinf(kernels.nearest_sq_sum_capped(q, empty, 1e30))
-    assert np.isinf(kernels.nearest_sq_sum_capped(q, empty, np.inf))
-    assert kernels.nearest_sq_sum_capped(empty, empty, 1.0) == 0.0
-
-
 def test_points_in_boxes_paths_agree():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-2, 2, size=(500, 3))
@@ -122,35 +85,3 @@ def test_points_in_boxes_paths_agree():
     want = points_in_boxes_loops(pts, centers, axes, half)
     assert 0 < want.sum() < len(pts)
     assert (got == want).all()
-
-
-def _points(n):
-    return st.builds(
-        lambda seed: np.random.default_rng(seed).normal(size=(n, 3)),
-        st.integers(0, 2 ** 32 - 1))
-
-
-point_sets = st.integers(0, 40).flatmap(_points)
-
-
-@settings(max_examples=60, deadline=None)
-@given(query=point_sets, ref=point_sets)
-def test_nearest_property(query, ref):
-    # einsum may add the three squared coordinates in another order
-    assert np.allclose(kernels.nearest_sq_dists(query, ref),
-                       oracle_nearest(query, ref), rtol=1e-14, atol=0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(query=point_sets, ref=point_sets,
-       slack=st.floats(0.0, 2.0, allow_nan=False))
-def test_capped_sum_property(query, ref, slack):
-    exact = float(oracle_nearest(query, ref).sum())
-    if not np.isfinite(exact):
-        assert np.isinf(kernels.nearest_sq_sum_capped(query, ref, 1e30))
-        return
-    # a cap at or above the sum never aborts, one below it always does
-    got = kernels.nearest_sq_sum_capped(query, ref, exact * (1.0 + slack) + 1e-9)
-    assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
-    if exact > 0:
-        assert np.isinf(kernels.nearest_sq_sum_capped(query, ref, exact * 0.999))

@@ -141,3 +141,18 @@ def test_config_roundtrip(tmp_path):
     assert back.seed == 5
     assert back.joint_overrides == {(0, 3): "lap"}
     assert back == cfg
+
+
+@pytest.mark.parametrize("bad", [
+    {"seed": "3"}, {"seed": True}, {"seed": 3.0}, {"contact_samples": 1.5},
+    {"d_c": "0.01"}, {"d_c": False}, {"compact_parts": 3},
+    {"joint_overrides": [[0, 3, "lap"]]},
+])
+def test_config_value_of_wrong_type_is_rejected(bad):
+    (key,) = bad
+    with pytest.raises(ValueError, match=key):
+        PipelineConfig.from_json(bad)
+
+
+def test_config_float_field_accepts_int():
+    assert PipelineConfig.from_json({"d_c": 1, "seed": 2}).d_c == 1
