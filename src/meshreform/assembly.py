@@ -173,7 +173,6 @@ def _project_point_triangle(p, tri):
 @dataclass
 class RestoreReport:
     displacements: dict
-    fixed: dict                  # component index -> fixed part id
     objective_before: float
     objective_after: float
     foot_points: dict            # edge key -> (p_i, p_j)
@@ -222,11 +221,9 @@ def restore_contacts(placed: list, contact_graph, db, seed=0):
         degree[e.j] += 1
 
     disp = {pid: np.zeros(3) for pid in by_id}
-    fixed = {}
-    for gi, members in enumerate(sorted(groups.values(), key=min)):
+    for members in sorted(groups.values(), key=min):
         members = sorted(members)
         anchor = max(members, key=lambda pid: (degree[pid], -pid))
-        fixed[gi] = anchor
         free = [pid for pid in members if pid != anchor]
         if not free:
             if degree[anchor] == 0:
@@ -268,7 +265,7 @@ def restore_contacts(placed: list, contact_graph, db, seed=0):
                                   p.box.half_extents.copy()),
                       displacement=p.displacement + disp[p.part_id])
            for p in placed]
-    return out, RestoreReport(displacements=disp, fixed=fixed,
+    return out, RestoreReport(displacements=disp,
                               objective_before=before, objective_after=after,
                               foot_points=foot)
 

@@ -1,18 +1,19 @@
 """Material-aware configuration optimization.
 
-Parts are abstracted to line segments. Contacts whose angle is implausible
-for the material (low histogram feasibility) get a target angle; every
-slide/rotate choice for those edges is enumerated, each choice is solved by
-gradient-based minimization of the angle/length/repulsion objective, and the
-configuration with the smallest post-solve angle error over surviving
-contacts wins. Contacts a moving part slides away from are dropped
-(topology change); moved parts must retain at least two distinct contact
-points, counting the ground.
+Parts are abstracted to line segments. Contacts between two linear parts
+whose angle is implausible for the material (low histogram feasibility) get
+a target angle; every valid slide/rotate choice for those edges is
+enumerated, each choice is solved by gradient-based minimization of the
+angle/length/repulsion objective, and the configuration with the smallest
+post-solve angle error over surviving contacts wins, the unmoved model
+included. Contacts a moving part slides away from are dropped (topology
+change); moved parts must retain at least two distinct contact points,
+counting the ground.
 """
 
 import itertools
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -35,8 +36,6 @@ SOLVER_MAX_ITERS = 500
 SOLVER_GTOL = 1e-8
 TIE_TOL = 1e-9                # relative objective tolerance of a selection tie
 BOX_CONTACT_SAMPLES = 17      # segment samples against a static part's box
-
-EDGE_OPTIONS = ("rigid", "slide_i", "slide_j", "rotate_i", "rotate_j")
 
 
 @dataclass
@@ -61,7 +60,6 @@ class AngleConstraint:
     angle: float
     target: float
     feasibility: float
-    active: bool = True
 
 
 @dataclass
@@ -103,15 +101,20 @@ class Configuration:
 # feasibility assessment
 # ---------------------------------------------------------------------------
 
-def assess_angle_feasibility(graph: ContactGraph, materials: dict, db) -> list:
+def assess_angle_feasibility(graph: ContactGraph, parts: dict, db) -> list:
     """Constraints for same-material angled edges whose histogram
     feasibility falls below ``FEASIBILITY_THRESHOLD``; the target is the
-    center of the nearest feasible bin (ties toward the larger angle)."""
+    center of the nearest feasible bin (ties toward the larger angle).
+
+    Only edges between two linear parts (``PartState.box is None``) are
+    constrained: there the contact angle is the segment angle that the
+    solve and the selection score. An infeasible edge with a curvilinear
+    side is logged and left unconstrained."""
     constraints = []
     for e in graph.part_edges():
         if e.angle is None:
             continue
-        mi, mj = materials[e.i], materials[e.j]
+        mi, mj = parts[e.i].material, parts[e.j].material
         if mi != mj or mi not in (Material.WOOD, Material.METAL):
             continue
         hist = db.histograms.get(mi.value)
@@ -119,6 +122,10 @@ def assess_angle_feasibility(graph: ContactGraph, materials: dict, db) -> list:
             raise ValueError(f"empty angle histogram for {mi.value}")
         feas = hist.feasibility(e.angle)
         if feas >= FEASIBILITY_THRESHOLD:
+            continue
+        if parts[e.i].box is not None or parts[e.j].box is not None:
+            logger.warning("edge %s: curvilinear side; angle left unconstrained",
+                           e.key())
             continue
         freqs = hist.smoothed_frequencies()
         centers = np.array([AngleHistogram.bin_center(k) for k in range(len(freqs))])
@@ -191,78 +198,64 @@ def _make_bind(option, edge, parts, graph):
                 pivot=pivot, pivot_param=pivot_param)
 
 
+def _clashes(b: Bind, chosen, contact_pairs) -> bool:
+    """True when bind ``b`` breaks a rule together with one of ``chosen``."""
+    for a in chosen:
+        if a.part == b.part:
+            # one bind per part end, a rotating part owns both its ends, and
+            # the two ends do not slide on mutually contacting hosts
+            if a.end == b.end or "rotate" in (a.kind, b.kind) or \
+                    (min(a.host, b.host), max(a.host, b.host)) in contact_pairs:
+                return True
+        elif a.host == b.part or b.host == a.part:    # hosts stay static
+            return True
+    return False
+
+
 def enumerate_configurations(constraints, graph: ContactGraph, parts: dict,
-                             fixed: Optional[set] = None,
-                             cap=ENUMERATION_CAP) -> list:
+                             fixed: set, cap=ENUMERATION_CAP) -> list:
     """All valid slide/rotate assignments over the constrained edges.
 
-    Per edge the options are rigid / i slides on j / j slides on i /
-    i rotates pinned / j rotates pinned, filtered by the fixed set. A set is
-    valid when no (part, end) is bound twice, every bind host stays static,
-    a part's two ends never slide on mutually contacting hosts, every moving
-    part has at least two potential supports, and at least one bind exists.
-    Enumeration walks edges in sorted order and stops at ``cap`` valid sets.
+    Per edge the options are rigid / i slides on j / i rotates pinned /
+    j slides on i / j rotates pinned, filtered by the fixed set. A set is
+    valid when no (part, end) is bound twice, a rotating part has no second
+    bind, every bind host stays static, a part's two ends never slide on
+    mutually contacting hosts, every moving part has at least two potential
+    supports, and at least one bind exists. A set that breaks a rule breaks
+    it in every superset, so the depth-first walk over the edges in sorted
+    order drops a bind as soon as it clashes with one already chosen; sets
+    come out in the order of the full product of options, up to ``cap``.
     """
     if not constraints:
         raise ValueError("no constraints to enumerate")
-    if fixed is None:
-        fixed = determine_fixed_parts(parts, graph, constraints)
-
     edges = sorted(c.edge for c in constraints)
     per_edge = []
     for (i, j) in edges:
-        opts = ["rigid"]
-        if i not in fixed:
-            opts += ["slide_i", "rotate_i"]
-        if j not in fixed:
-            opts += ["slide_j", "rotate_j"]
+        opts = [("rigid", None)]
+        for option, mover in (("slide_i", i), ("rotate_i", i),
+                              ("slide_j", j), ("rotate_j", j)):
+            if mover not in fixed and graph.degree(mover) >= 2:
+                opts.append((option, _make_bind(option, (i, j), parts, graph)))
         per_edge.append(opts)
-
     contact_pairs = {(min(e.i, e.j), max(e.i, e.j)) for e in graph.part_edges()}
-    degree = {pid: graph.degree(pid) for pid in parts}
-
     out = []
-    for combo in itertools.product(*per_edge):
-        if all(o == "rigid" for o in combo):
-            continue
-        binds = [_make_bind(o, e, parts, graph)
-                 for o, e in zip(combo, edges) if o != "rigid"]
-        moving = {b.part for b in binds}
-        # one bind per part end; a rotating part owns both its ends
-        slots = [(b.part, b.end) for b in binds]
-        if len(slots) != len(set(slots)):
-            continue
-        rotators = {b.part for b in binds if b.kind == "rotate"}
-        if any(b.part in rotators and b.kind != "rotate" for b in binds) or \
-                any(sum(1 for b in binds if b.part == r) > 1 for r in rotators):
-            continue
-        # hosts must stay static
-        if any(b.host in moving for b in binds):
-            continue
-        # two ends of one part must not slide on contacting hosts
-        ok = True
-        by_part = {}
-        for b in binds:
-            by_part.setdefault(b.part, []).append(b)
-        for pid, bs in by_part.items():
-            slides = [b for b in bs if b.kind == "slide"]
-            if len(slides) == 2:
-                hosts = (min(slides[0].host, slides[1].host),
-                         max(slides[0].host, slides[1].host))
-                if hosts in contact_pairs:
-                    ok = False
-                    break
-            # pre-prune no-hanging: a moving part needs two potential supports
-            if degree[pid] < 2:
-                ok = False
-                break
-        if not ok:
-            continue
-        out.append(ConstraintSet(index=len(out), options=dict(zip(edges, combo)),
-                                 binds=binds, moving=moving))
-        if len(out) >= cap:
-            logger.warning("enumeration truncated at %d sets", cap)
-            break
+
+    def extend(chosen):
+        """Append the valid completions of ``chosen``, an (option, bind or
+        None) pair per edge so far; False once ``cap`` sets are out."""
+        binds = [b for _, b in chosen if b is not None]
+        if len(chosen) == len(edges):
+            if binds:
+                out.append(ConstraintSet(index=len(out),
+                                         options=dict(zip(edges, (o for o, _ in chosen))),
+                                         binds=binds, moving={b.part for b in binds}))
+            return len(out) < cap
+        return all(extend(chosen + [(option, b)])
+                   for option, b in per_edge[len(chosen)]
+                   if b is None or not _clashes(b, binds, contact_pairs))
+
+    if not extend([]):
+        logger.warning("enumeration truncated at %d sets", cap)
     return out
 
 
@@ -572,10 +565,6 @@ def optimize_configuration(cset: ConstraintSet, constraints, parts: dict,
     over the affine endpoint map, with box bounds [0, 1] on the slide
     parameters."""
     targets = {c.edge: c.target for c in constraints}
-    if not cset.binds:
-        return replace(all_rigid_configuration(constraints, parts, db, materials),
-                       index=cset.index)
-
     layout, fun = make_objective(cset, constraints, parts)
     res = minimize(fun, layout.x0, jac=True, method="L-BFGS-B", bounds=layout.bounds,
                    options={"maxiter": SOLVER_MAX_ITERS, "gtol": SOLVER_GTOL,
@@ -627,12 +616,11 @@ def _feasibility_report(segments, targets, parts, materials, db, restrict=None):
 
 def select_best_configuration(configs: list) -> Configuration:
     """Minimum objective among no-hanging configurations; ties go to fewer
-    dropped contacts, then the smaller enumeration index."""
-    if not configs:
-        raise ValueError("no configurations")
+    dropped contacts, then the smaller enumeration index. The caller passes
+    the unmoved configuration too: it is always supported, and it wins its
+    ties (index -1, no dropped contacts), so the selection is never worse
+    than leaving the model unmoved."""
     valid = [c for c in configs if c.no_hanging_ok]
-    if not valid:
-        raise ValueError("no configuration satisfies the support rule")
     best_obj = min(c.objective for c in valid)
     tied = [c for c in valid if c.objective <= best_obj + TIE_TOL * max(1.0, abs(best_obj))]
     tied.sort(key=lambda c: (len(c.dropped_edges) + len(c.dropped_ground), c.index))
@@ -640,7 +628,7 @@ def select_best_configuration(configs: list) -> Configuration:
 
 
 def all_rigid_configuration(constraints, parts: dict, db=None, materials=None) -> Configuration:
-    """Unchanged-geometry fallback when enumeration yields nothing."""
+    """The unmoved model as a candidate configuration (index -1)."""
     segments = {pid: st.segment.copy() for pid, st in parts.items()}
     targets = {c.edge: c.target for c in constraints}
     report = _feasibility_report(segments, targets, parts, materials, db)

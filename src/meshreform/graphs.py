@@ -66,8 +66,8 @@ class ContactGraph:
     def edges_of(self, pid):
         return [e for e in self.edges if pid in (e.i, e.j)]
 
-    def degree(self, pid, include_ground=True):
-        return sum(1 for e in self.edges_of(pid) if include_ground or not e.is_ground)
+    def degree(self, pid):
+        return len(self.edges_of(pid))
 
     def find_edge(self, i, j):
         a, b = min(i, j), max(i, j)

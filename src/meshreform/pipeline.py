@@ -213,36 +213,28 @@ def reformed_state(analysis: ModelAnalysis, placed, targets, db: Database,
 
 
 def optimize_angles(state: ReformedState, db: Database, cfg: PipelineConfig):
-    """Angle feasibility assessment, enumeration, optimization, selection.
-    Returns (selected Configuration or None, constraints, configs)."""
+    """Angle feasibility assessment, enumeration, optimization, selection
+    among the solved sets and the unmoved model. Returns (selected
+    Configuration or None, constraints, solved configs)."""
     parts = {}
     for pid, desc in state.descriptors.items():
         parts[pid] = config_opt.PartState(
             id=pid, segment=desc.segment.copy(), thickness=desc.thickness,
             material=state.materials[pid],
             box=None if desc.is_linear else desc.obb)
-    constraints = config_opt.assess_angle_feasibility(state.graph,
-                                                      state.materials, db)
+    constraints = config_opt.assess_angle_feasibility(state.graph, parts, db)
     if not constraints:
         return None, [], []
     fixed = config_opt.determine_fixed_parts(parts, state.graph, constraints,
                                              repetition=state.repetition)
     sets = config_opt.enumerate_configurations(constraints, state.graph, parts,
                                                fixed=fixed)
-    if not sets:
-        logger.warning("no valid slide/rotate set; keeping configuration rigid")
-        return (config_opt.all_rigid_configuration(constraints, parts, db,
-                                                   state.materials),
-                constraints, [])
     configs = [config_opt.optimize_configuration(
         s, constraints, parts, state.graph, db=db, materials=state.materials,
         d_c=cfg.d_c) for s in sets]
-    try:
-        best = config_opt.select_best_configuration(configs)
-    except ValueError:
-        logger.warning("no configuration satisfied support; keeping rigid")
-        best = config_opt.all_rigid_configuration(constraints, parts, db,
-                                                  state.materials)
+    unmoved = config_opt.all_rigid_configuration(constraints, parts, db,
+                                                 state.materials)
+    best = config_opt.select_best_configuration([unmoved] + configs)
     return best, constraints, configs
 
 
@@ -379,6 +371,8 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
         stage = "restore"
         t0 = time.perf_counter()
         placed, report = place_and_restore(analysis, assignment, db, cfg)
+        state = reformed_state(analysis, placed, targets, db, cfg,
+                               restore_report=report)
         _dump(out_dir, "04_restore.json", {
             "displacements": {str(k): v.tolist() for k, v in report.displacements.items()},
             "objective_before": report.objective_before,
@@ -387,8 +381,6 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
         summary["stages"][stage] = {"seconds": time.perf_counter() - t0,
                                     "objective_before": report.objective_before,
                                     "objective_after": report.objective_after}
-        state = reformed_state(analysis, placed, targets, db, cfg,
-                               restore_report=report)
 
         stage = "optimize-angles"
         t0 = time.perf_counter()

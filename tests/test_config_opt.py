@@ -1,9 +1,13 @@
+import dataclasses
 import itertools
+import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from meshreform import config_opt
 from meshreform.config_opt import (ANGLE_WEIGHT_LENGTH, ANGLE_WEIGHT_REPULSE,
                                    REPULSE_SIGMA, AngleConstraint, Bind,
                                    ConstraintSet, PartState,
@@ -13,9 +17,12 @@ from meshreform.config_opt import (ANGLE_WEIGHT_LENGTH, ANGLE_WEIGHT_REPULSE,
                                    enumerate_configurations, make_objective,
                                    optimize_configuration,
                                    segment_distance,
-                                   select_best_configuration, _segment_angle)
+                                   select_best_configuration, _make_bind,
+                                   _segment_angle)
 from meshreform.graphs import GROUND_ID, ContactEdge, ContactGraph
 from meshreform.mesh import Material
+from meshreform.obb import OrientedBox
+from meshreform.pipeline import PipelineConfig, ReformedState, optimize_angles
 
 
 def seg(a, b):
@@ -31,6 +38,11 @@ def edge(i, j, cp, angle=None):
     return ContactEdge(min(i, j), max(i, j), np.asarray(cp, dtype=float), angle)
 
 
+def linear_parts(materials):
+    return {pid: state(pid, [0, 0, 0], [1, 0, 0], material=m)
+            for pid, m in materials.items()}
+
+
 # ---------------------------------------------------------------------------
 # feasibility assessment
 # ---------------------------------------------------------------------------
@@ -44,7 +56,7 @@ def test_assessment_against_synthetic_histograms(small_db):
         edge(0, 3, [0, 0, 0], angle=None),     # no angle -> skipped
         edge(0, 4, [0, 0, 0], angle=30.0),     # mixed materials -> skipped
     ])
-    constraints = assess_angle_feasibility(graph, mats, small_db)
+    constraints = assess_angle_feasibility(graph, linear_parts(mats), small_db)
     assert [c.edge for c in constraints] == [(0, 2)]
     assert constraints[0].target >= 80.0
     assert constraints[0].feasibility < 0.03
@@ -53,7 +65,19 @@ def test_assessment_against_synthetic_histograms(small_db):
 def test_mixed_material_edges_never_constrained(small_db):
     mats = {0: Material.WOOD, 1: Material.METAL}
     graph = ContactGraph(nodes=[0, 1], edges=[edge(0, 1, [0, 0, 0], angle=17.0)])
-    assert assess_angle_feasibility(graph, mats, small_db) == []
+    assert assess_angle_feasibility(graph, linear_parts(mats), small_db) == []
+
+
+def test_curvilinear_edges_never_constrained(small_db):
+    """The contact angle of a curvilinear part is a local leg, not its
+    segment; such an edge stays unconstrained beside a linear one."""
+    parts = linear_parts({0: Material.WOOD, 1: Material.WOOD, 2: Material.WOOD})
+    parts[2].box = OrientedBox(np.zeros(3), np.eye(3), np.array([0.5, 0.3, 0.01]))
+    graph = ContactGraph(nodes=[0, 1, 2], edges=[
+        edge(0, 1, [0, 0, 0], angle=40.0),
+        edge(0, 2, [1, 0, 0], angle=40.0),
+    ])
+    assert [c.edge for c in assess_angle_feasibility(graph, parts, small_db)] == [(0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +199,127 @@ def test_enumeration_cap():
     assert len(sets) == 100
 
 
+def reference_enumeration(constraints, graph, parts, fixed, cap):
+    """Every combination of per-edge options from the full product, each
+    combination's binds rebuilt and then filtered by the validity rules."""
+    edges = sorted(c.edge for c in constraints)
+    per_edge = []
+    for (i, j) in edges:
+        opts = ["rigid"]
+        if i not in fixed:
+            opts += ["slide_i", "rotate_i"]
+        if j not in fixed:
+            opts += ["slide_j", "rotate_j"]
+        per_edge.append(opts)
+
+    contact_pairs = {(min(e.i, e.j), max(e.i, e.j)) for e in graph.part_edges()}
+    degree = {pid: len(graph.edges_of(pid)) for pid in parts}
+
+    out = []
+    truncated = False
+    for combo in itertools.product(*per_edge):
+        if all(o == "rigid" for o in combo):
+            continue
+        binds = [_make_bind(o, e, parts, graph)
+                 for o, e in zip(combo, edges) if o != "rigid"]
+        moving = {b.part for b in binds}
+        # one bind per part end; a rotating part owns both its ends
+        slots = [(b.part, b.end) for b in binds]
+        if len(slots) != len(set(slots)):
+            continue
+        rotators = {b.part for b in binds if b.kind == "rotate"}
+        if any(b.part in rotators and b.kind != "rotate" for b in binds) or \
+                any(sum(1 for b in binds if b.part == r) > 1 for r in rotators):
+            continue
+        # hosts must stay static
+        if any(b.host in moving for b in binds):
+            continue
+        # two ends of one part must not slide on contacting hosts
+        ok = True
+        by_part = {}
+        for b in binds:
+            by_part.setdefault(b.part, []).append(b)
+        for pid, bs in by_part.items():
+            slides = [b for b in bs if b.kind == "slide"]
+            if len(slides) == 2:
+                hosts = (min(slides[0].host, slides[1].host),
+                         max(slides[0].host, slides[1].host))
+                if hosts in contact_pairs:
+                    ok = False
+                    break
+            # a moving part needs two potential supports
+            if degree[pid] < 2:
+                ok = False
+                break
+        if not ok:
+            continue
+        out.append(ConstraintSet(index=len(out), options=dict(zip(edges, combo)),
+                                 binds=binds, moving=moving))
+        if len(out) >= cap:
+            truncated = True
+            break
+    return out, truncated
+
+
+def random_constraint_graph(rng):
+    """3-8 parts with random segments, random contacts near part ends or
+    middles, random ground contacts, 1-6 constrained edges and a random
+    fixed set."""
+    n = int(rng.integers(3, 9))
+    parts = {pid: state(pid, a, a + rng.normal(size=3))
+             for pid, a in enumerate(rng.normal(size=(n, 3)))}
+    pairs = list(itertools.combinations(range(n), 2))
+    picked = rng.choice(len(pairs), size=int(rng.integers(1, len(pairs) + 1)),
+                        replace=False)
+    edges = []
+    for k in sorted(picked):
+        i, j = pairs[k]
+        cp = on_segment(parts[i], rng.choice([0.0, 0.5, 1.0]))
+        edges.append(edge(i, j, cp + rng.normal(scale=0.01, size=3), angle=50.0))
+    for pid in range(n):
+        if rng.random() < 0.4:
+            edges.append(ContactEdge(pid, GROUND_ID, parts[pid].segment[0], None, True))
+    graph = ContactGraph(nodes=list(parts), edges=edges)
+    n_cons = min(int(rng.integers(1, 7)), len(picked))
+    constrained = rng.choice(len(picked), size=n_cons, replace=False)
+    part_edges = graph.part_edges()
+    constraints = [AngleConstraint(part_edges[k].key(), 50.0, 87.5, 0.0)
+                   for k in constrained]
+    fixed = {pid for pid in parts if rng.random() < 0.3}
+    return constraints, graph, parts, fixed
+
+
+def bind_key(b):
+    return (b.part, b.end, b.kind, b.edge, b.host,
+            None if b.pivot is None else tuple(b.pivot), b.pivot_param)
+
+
+def test_pruned_enumeration_matches_product_oracle(caplog):
+    rng = np.random.default_rng(14)
+    truncations = {5: 0, 50: 0, 4096: 0}
+    sizes = []
+    for _ in range(210):
+        constraints, graph, parts, fixed = random_constraint_graph(rng)
+        for cap in truncations:
+            ref, truncated = reference_enumeration(constraints, graph, parts, fixed, cap)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="meshreform.config_opt"):
+                got = enumerate_configurations(constraints, graph, parts, fixed=fixed,
+                                               cap=cap)
+            assert ("truncated" in caplog.text) == truncated
+            truncations[cap] += truncated
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                assert g.index == r.index
+                assert g.options == r.options
+                assert g.moving == r.moving
+                assert [bind_key(b) for b in g.binds] == [bind_key(b) for b in r.binds]
+        sizes.append(len(ref))
+    # the draws reach every cap and include empty and large enumerations
+    assert truncations[5] >= 20 and truncations[50] >= 5, truncations
+    assert min(sizes) == 0 and max(sizes) >= 200, (min(sizes), max(sizes))
+
+
 # ---------------------------------------------------------------------------
 # optimization
 # ---------------------------------------------------------------------------
@@ -215,16 +360,6 @@ def test_one_dof_rotation_to_intermediate_target():
     config = optimize_configuration(cset, constraints, parts, graph)
     ang = _segment_angle(config.segments[1], config.segments[0])
     assert abs(ang - 82.5) <= 0.1
-
-
-def test_no_binds_means_unchanged():
-    parts, graph, constraints, _ = rotation_fixture()
-    cset = ConstraintSet(index=3, options={(0, 1): "rigid"}, binds=[],
-                         moving=set())
-    config = optimize_configuration(cset, constraints, parts, graph)
-    assert config.index == 3
-    assert np.allclose(config.segments[1], parts[1].segment)
-    assert config.objective == pytest.approx((60.0 - 90.0) ** 2, abs=1e-9)
 
 
 def on_segment(part, t):
@@ -556,8 +691,51 @@ def test_select_best_rules():
     assert select_best_configuration([only]).index == 7
     hanging = conf(0, 0.0, 0)
     hanging.no_hanging_ok = False
-    with pytest.raises(ValueError):
-        select_best_configuration([hanging])
+    assert select_best_configuration([hanging, conf(-1, 9.0, 0)]).index == -1
+    # the unmoved configuration (index -1) wins a tie
+    assert select_best_configuration([conf(-1, 0.5, 0), conf(0, 0.5, 0)]).index == -1
+
+
+def grounded_bar_state():
+    """A linear bar at 40 degrees to a grounded linear rail, both wood; the
+    wood histogram finds 40 degrees infeasible."""
+    th = math.radians(40.0)
+    segments = {0: seg([-1, 0, 0], [1, 0, 0]),
+                1: seg([0, 0, 0], [math.cos(th), 0, math.sin(th)])}
+    descriptors = {pid: SimpleNamespace(segment=s, thickness=0.02, is_linear=True,
+                                        obb=None)
+                   for pid, s in segments.items()}
+    graph = ContactGraph(nodes=[0, 1], edges=[
+        edge(0, 1, [0, 0, 0], angle=40.0),
+        ContactEdge(0, GROUND_ID, np.array([-1, 0, 0.0]), None, True),
+    ])
+    return ReformedState(placed={}, descriptors=descriptors, graph=graph,
+                         materials={0: Material.WOOD, 1: Material.WOOD})
+
+
+@pytest.mark.parametrize("solved", ["worse", "tied", "unsupported", "none"])
+def test_unmoved_model_competes(solved, small_db, monkeypatch):
+    """optimize_angles keeps the model unmoved when every solved set scores
+    above it or ties it, when none is supported, and when none is
+    enumerated."""
+    cset = ConstraintSet(index=0, options={(0, 1): "rotate_j"}, binds=[], moving={1})
+    sets = [] if solved == "none" else [cset, dataclasses.replace(cset, index=1)]
+    monkeypatch.setattr(config_opt, "enumerate_configurations", lambda *a, **k: sets)
+
+    def solve(s, constraints, parts, graph, **kwargs):
+        unmoved = all_rigid_configuration(constraints, parts)
+        return dataclasses.replace(
+            unmoved, index=s.index, moved_parts=[1],
+            objective=unmoved.objective + (solved == "worse"),
+            no_hanging_ok=solved != "unsupported")
+
+    monkeypatch.setattr(config_opt, "optimize_configuration", solve)
+    best, constraints, configs = optimize_angles(grounded_bar_state(), small_db,
+                                                 PipelineConfig())
+    assert [c.edge for c in constraints] == [(0, 1)]
+    assert len(configs) == len(sets)
+    assert best.index == -1 and best.moved_parts == []
+    assert best.objective == pytest.approx((40.0 - constraints[0].target) ** 2)
 
 
 def test_segment_distance_cases():

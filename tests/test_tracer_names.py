@@ -1,0 +1,36 @@
+"""The benchmark's tracer names program functions by string, and a name that
+no longer resolves adds 0 to its metric without a word. This test pins the
+set of such names, so that a rename or deletion shows up here."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# tracer names of kernels that the k-d tree search replaced
+MISSING = {"kernels.min_sq_dist", "kernels.nearest_sq_dists",
+           "kernels.nearest_sq_sum_capped"}
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_names_resolve_to_public_functions():
+    tracer = load_tracer()
+    names = {name for fns in tracer.SELF_TIME.values() for name in fns}
+    names |= {fn for _, fn in tracer.STAGES} | set(tracer.OBSERVERS)
+    missing = set()
+    for name in names:
+        short, attr = name.split(".")
+        module = importlib.import_module(f"meshreform.{short}")
+        fn = getattr(module, attr, None)
+        if attr.startswith("_") or not inspect.isfunction(fn) \
+                or fn.__module__ != module.__name__:
+            missing.add(name)
+    assert missing == MISSING
