@@ -7,6 +7,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .graphs import connected_components
 from .mesh import SurfaceSamples, TriangleMesh, sample_surface, Part
 from .obb import OrientedBox
 from .part_analysis import PartDescriptor, ThicknessEstimate, describe_part
@@ -200,29 +201,13 @@ def restore_contacts(placed: list, contact_graph, db, seed=0):
         pj = closest_point_on_placed(by_id[e.j], db, e.contact_point, foot_samples[e.j])
         foot[e.key()] = (pi, pj)
 
-    # connected components over parts that share edges
-    comp = {pid: pid for pid in by_id}
-
-    def find(a):
-        while comp[a] != a:
-            comp[a] = comp[comp[a]]
-            a = comp[a]
-        return a
-
-    for e in edges:
-        comp[find(e.i)] = find(e.j)
-    groups = {}
-    for pid in by_id:
-        groups.setdefault(find(pid), []).append(pid)
-
     degree = {pid: 0 for pid in by_id}
     for e in edges:
         degree[e.i] += 1
         degree[e.j] += 1
 
     disp = {pid: np.zeros(3) for pid in by_id}
-    for members in sorted(groups.values(), key=min):
-        members = sorted(members)
+    for members in connected_components(by_id, [e.key() for e in edges]):
         anchor = max(members, key=lambda pid: (degree[pid], -pid))
         free = [pid for pid in members if pid != anchor]
         if not free:
@@ -233,7 +218,7 @@ def restore_contacts(placed: list, contact_graph, db, seed=0):
         lap = np.zeros((len(free), len(free)))
         rhs = np.zeros((len(free), 3))
         for e in edges:
-            if find(e.i) != find(anchor):
+            if e.i not in members:
                 continue
             g = foot[e.key()][0] - foot[e.key()][1]   # p_i - p_j
             if e.i in col:

@@ -11,7 +11,7 @@ import sys
 
 from . import pipeline as pl
 from .database import load_database, save_database
-from .mesh import Material, MeshParseError, load_model
+from .mesh import MeshParseError, load_model
 from .synthetic import GeneratorConfig, generate_synthetic_database
 
 logger = logging.getLogger(__name__)
@@ -37,13 +37,13 @@ def _load_config(args) -> pl.PipelineConfig:
 
 
 def _parse_targets(spec):
-    if spec in ("suggest", "all=wood", "all=metal"):
-        return spec
-    out = {}
-    for item in spec.split(","):
-        pid, mat = item.split("=", 1)
-        out[int(pid)] = Material(mat)
-    return out
+    """``suggest | all=wood | all=metal | id=mat,...`` as a config value."""
+    if spec == "suggest" or spec.startswith("all="):
+        return pl._target_spec(spec)
+    items = [item.split("=", 1) for item in spec.split(",")]
+    if any(len(item) != 2 for item in items):
+        raise ValueError(f"target materials must be id=mat,..., got {spec!r}")
+    return pl._target_spec(dict(items))
 
 
 def _analysis_payload(analysis):

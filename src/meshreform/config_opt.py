@@ -454,7 +454,8 @@ def _point_box_distance(points, box):
 
 
 def _pair_distance(parts, segments, i, j, moving):
-    """Distance between two parts' stand-ins plus a contact location.
+    """Distance between two parts' stand-ins plus a contact location, for a
+    pair of which at least one part moves.
 
     Moving parts are their (current) segments; static parts use their box
     surface when one is attached, which keeps rod-to-board contacts honest.
@@ -472,10 +473,6 @@ def _pair_distance(parts, segments, i, j, moving):
         return float(d[k]), pts[k], 0.5 * parts[j].thickness
     if use_box_j and not use_box_i:
         return _pair_distance(parts, segments, j, i, moving)
-    if use_box_i and use_box_j:
-        # both static boxes: contact state cannot have changed
-        d, cp, cq = segment_distance(si[0], si[1], sj[0], sj[1])
-        return d, 0.5 * (cp + cq), 0.0
     d, cp, cq = segment_distance(si[0], si[1], sj[0], sj[1])
     return d, 0.5 * (cp + cq), 0.5 * (parts[i].thickness + parts[j].thickness)
 

@@ -20,11 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import DEFAULT_CONTACT_DISTANCE
+from .graphs import DEFAULT_CONTACT_DISTANCE, connected_components
 from .mesh import Material, Model, Part, save_model
 from .obb import OrientedBox, box_gap, boxes_mesh, subtract_local_box
 from .qp import QPInfeasibleError, kkt_residual, solve_min_change_qp
-from .similarity import SIGMA_OA, SIGMA_PR, shape_matrix
+from .similarity import (orientation_angle_similarity, shape_matrix,
+                         spatial_similarity)
 
 logger = logging.getLogger(__name__)
 
@@ -135,10 +136,9 @@ def _pool_scores(query: QueryContact, pool, db):
     s_iv = shape_matrix([qi], v_desc, mode="obb_only")[0]
     s_ju = shape_matrix([qj], u_desc, mode="obb_only")[0]
     d_uv = np.array([c.barycenter_distance for c in pool])
-    pr = np.exp(-((query.barycenter_distance - d_uv) ** 2) / SIGMA_PR ** 2)
+    pr = spatial_similarity(query.barycenter_distance, d_uv)
     a_uv = np.stack([np.asarray(c.orientation_vec, dtype=float) for c in pool])
-    d2 = ((query.orientation_vec[None, :] - a_uv) ** 2).sum(axis=1)
-    oa = np.exp(-d2 / SIGMA_OA ** 2)
+    oa = orientation_angle_similarity(query.orientation_vec, a_uv)
     direct = (u_mat & v_mat) * s_iu * s_jv
     swapped = (u_mat_sw & v_mat_sw) * s_iv * s_ju
     return np.maximum(direct, swapped) * pr * oa
@@ -255,23 +255,15 @@ def refine_part_dimensions(assignments, boxes: dict) -> RefinementResult:
     if not mt:
         return result
 
-    # connected clusters of parts coupled by mortise_tenon joints
-    parent = {}
-
-    def find(a):
-        parent.setdefault(a, a)
-        while parent[a] != a:
-            parent[a] = parent.setdefault(parent[a], parent[a])
-            a = parent[a]
-        return a
-
-    for a in mt:
-        parent.setdefault(a.tenon_part, a.tenon_part)
-        parent.setdefault(a.mortise_part, a.mortise_part)
-        parent[find(a.tenon_part)] = find(a.mortise_part)
+    # clusters of parts coupled by mortise_tenon joints, in the order of
+    # their first joint
+    pairs = [(a.tenon_part, a.mortise_part) for a in mt]
+    cluster_of = {pid: k for k, members in enumerate(
+        connected_components({p for pair in pairs for p in pair}, pairs))
+        for pid in members}
     clusters = {}
     for a in mt:
-        clusters.setdefault(find(a.tenon_part), []).append(a)
+        clusters.setdefault(cluster_of[a.tenon_part], []).append(a)
 
     worst_residual = 0.0
     for joints in clusters.values():

@@ -22,6 +22,26 @@ CONGRUENCE_RMS_TOL = 0.01
 CONGRUENCE_MAX_POINTS = 1000
 
 
+def connected_components(nodes, pairs):
+    """Connected components of the graph on ``nodes`` with edges ``pairs``
+    (union-find), as sorted lists ordered by their smallest node. Every
+    node of ``pairs`` must be in ``nodes``."""
+    parent = {n: n for n in nodes}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    groups = {}
+    for n in parent:
+        groups.setdefault(find(n), []).append(n)
+    return [sorted(g) for g in sorted(groups.values(), key=min)]
+
+
 @dataclass
 class ContactEdge:
     i: int
@@ -91,20 +111,7 @@ class RepetitionGraph:
 
     def classes(self):
         """Congruence classes as sorted lists (transitive closure)."""
-        parent = {n: n for n in self.nodes}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i, j in self.edges:
-            parent[find(i)] = find(j)
-        groups = {}
-        for n in self.nodes:
-            groups.setdefault(find(n), []).append(n)
-        return [sorted(g) for g in sorted(groups.values(), key=min)]
+        return connected_components(self.nodes, self.edges)
 
     def partners(self, pid):
         for cls_ in self.classes():
@@ -291,10 +298,7 @@ def build_repetition_graph(model: Model, descriptors: dict,
                              stop_below=0.5 * CONGRUENCE_RMS_TOL)
         if rms < CONGRUENCE_RMS_TOL:
             direct.append((i, j))
-    # transitive closure: edges of the union-find cliques
-    tmp = RepetitionGraph(nodes=list(ids), edges=direct)
-    edges = []
-    for cls_ in tmp.classes():
-        edges.extend(itertools.combinations(cls_, 2))
-    graph.edges = edges
+    # transitive closure: each component becomes a clique
+    for cls_ in connected_components(ids, direct):
+        graph.edges.extend(itertools.combinations(cls_, 2))
     return graph

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Material
-from .similarity import SIGMA_PR, contact_angle_similarity_vec, shape_matrix
+from .similarity import (contact_angle_similarity, shape_matrix,
+                         spatial_similarity)
 
 logger = logging.getLogger(__name__)
 
@@ -327,7 +328,7 @@ def build_material_factor_graph(descriptors: dict, contact_graph, repetition_gra
     u_idx = np.array([c.u for c in db.contacts], dtype=int)
     v_idx = np.array([c.v for c in db.contacts], dtype=int)
     d_uv = np.array([c.barycenter_distance for c in db.contacts])
-    ang_uv = np.array([np.nan if c.angle is None else c.angle for c in db.contacts])
+    ang_uv = np.array([c.angle for c in db.contacts], dtype=float)
     wood_u = is_wood[u_idx]
     wood_v = is_wood[v_idx]
 
@@ -337,8 +338,8 @@ def build_material_factor_graph(descriptors: dict, contact_graph, repetition_gra
         if e.i not in var_of or e.j not in var_of:
             continue
         d_ij = float(np.linalg.norm(dist[e.i] - dist[e.j]))
-        pr = np.exp(-((d_ij - d_uv) ** 2) / SIGMA_PR ** 2)
-        ca = contact_angle_similarity_vec(e.angle, ang_uv)
+        pr = spatial_similarity(d_ij, d_uv)
+        ca = contact_angle_similarity(e.angle, ang_uv)
         si = shp[row[e.i]]
         sj = shp[row[e.j]]
         base_a = si[u_idx] * sj[v_idx] * pr * ca

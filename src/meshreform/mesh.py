@@ -292,29 +292,21 @@ def weld_vertices(vertices, tol):
 # ---------------------------------------------------------------------------
 
 def segment_parts(mesh: TriangleMesh) -> list:
-    """Split a mesh into connected components by shared vertices."""
+    """Split a mesh into connected components by shared vertices, in the
+    order of their first face."""
+    from .graphs import connected_components   # graphs imports this module
+
     if mesh.n_faces == 0:
         raise ValueError("mesh is empty")
-    parent = np.arange(len(mesh.vertices))
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for a, b, c in mesh.faces:
-        ra, rb, rc = find(a), find(b), find(c)
-        parent[rb] = ra
-        parent[rc] = ra
-
-    face_root = np.array([find(f[0]) for f in mesh.faces])
-    components = []
-    for root in sorted(set(face_root.tolist()), key=lambda r: int(np.argmax(face_root == r))):
-        components.append(_compact(mesh.vertices, mesh.faces[face_root == root]))
-    return components
+    faces = mesh.faces
+    pairs = np.concatenate([faces[:, [0, 1]], faces[:, [0, 2]]]).tolist()
+    comp = np.empty(len(mesh.vertices), dtype=np.int64)
+    for k, members in enumerate(connected_components(range(len(mesh.vertices)), pairs)):
+        comp[members] = k
+    face_comp = comp[faces[:, 0]]
+    _, first = np.unique(face_comp, return_index=True)
+    return [_compact(mesh.vertices, faces[face_comp == face_comp[f]])
+            for f in np.sort(first)]
 
 
 def normalize_model(model: Model) -> Model:

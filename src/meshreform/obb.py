@@ -194,9 +194,7 @@ _BOX_FACES = np.array([
 
 def box_mesh(box: OrientedBox) -> TriangleMesh:
     """Closed 12-triangle mesh of a box with outward normals."""
-    signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float)
-    verts = box.to_world(signs * box.half_extents)
-    return TriangleMesh(verts, _BOX_FACES.copy())
+    return TriangleMesh(box.corners(), _BOX_FACES.copy())
 
 
 def boxes_mesh(boxes) -> TriangleMesh:

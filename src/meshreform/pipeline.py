@@ -77,6 +77,8 @@ class PipelineConfig:
                 raise ValueError(f"config key {f.name!r} must be "
                                  f"{f.type.__name__}, got {value!r}")
         d = dict(d)
+        if "target_materials" in d:
+            d["target_materials"] = _target_spec(d["target_materials"])
         if "joint_overrides" in d:
             d["joint_overrides"] = {
                 tuple(int(x) for x in k.split(",")): v
@@ -139,24 +141,44 @@ def suggest_materials(analysis: ModelAnalysis, db: Database):
     return {pid: result.labels[pid] for pid in result.labels}, result
 
 
+_TARGET_SPECS = ("suggest", "all=wood", "all=metal")
+
+
+def _target_spec(spec):
+    """A target-material spec in canonical form: one of ``_TARGET_SPECS``,
+    or a map from integer part id to wood or metal. Raises ValueError on any
+    other form. Whether a map names every part needs the model, so that is
+    checked in the materials stage."""
+    if isinstance(spec, str) and spec in _TARGET_SPECS:
+        return spec
+    if not isinstance(spec, dict):
+        raise ValueError(f"target materials must be {', '.join(_TARGET_SPECS)} "
+                         f"or a map from part id to wood/metal, got {spec!r}")
+    out = {}
+    for key, mat in spec.items():
+        pid = int(key) if isinstance(key, str) and key.isdigit() else key
+        if isinstance(pid, bool) or not isinstance(pid, (int, np.integer)):
+            raise ValueError(f"target material part id must be an integer, got {key!r}")
+        if mat not in (Material.WOOD, Material.METAL):
+            raise ValueError(f"target material of part {key} must be wood or metal, "
+                             f"got {mat!r}")
+        out[int(pid)] = Material(mat)
+    return out
+
+
 def resolve_targets(analysis: ModelAnalysis, db: Database, cfg: PipelineConfig):
-    spec = cfg.target_materials
+    spec = _target_spec(cfg.target_materials)
     ids = [p.id for p in analysis.model.parts]
     if spec == "suggest":
         targets, _ = suggest_materials(analysis, db)
         return targets
-    if isinstance(spec, str) and spec.startswith("all="):
+    if isinstance(spec, str):
         mat = Material(spec.split("=", 1)[1])
         return {pid: mat for pid in ids}
-    if isinstance(spec, dict):
-        out = {}
-        for pid in ids:
-            raw = spec.get(pid, spec.get(str(pid)))
-            if raw is None:
-                raise ValueError(f"no target material for part {pid}")
-            out[pid] = Material(raw) if not isinstance(raw, Material) else raw
-        return out
-    raise ValueError(f"bad target material spec {spec!r}")
+    for pid in ids:
+        if pid not in spec:
+            raise ValueError(f"no target material for part {pid}")
+    return {pid: spec[pid] for pid in ids}
 
 
 def reform_assignment(analysis: ModelAnalysis, targets, db: Database,

@@ -132,6 +132,27 @@ def test_bad_config_is_input_error(corpus, tmp_path, capsys, config, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config_spec, flag_spec", [
+    ("bogus", None), ("all=other", None), ({"0": "other"}, None),
+    ({"x": "wood"}, None), (None, "0=other"), (None, "all=other"), (None, "0"),
+])
+def test_bad_target_materials_is_input_error(corpus, tmp_path, capsys,
+                                             config_spec, flag_spec):
+    """A malformed target-material spec is rejected before any stage runs."""
+    args = ["pipeline", "--model", corpus["query"], "--db", corpus["db"],
+            "--out", str(tmp_path / "run")]
+    if config_spec is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target_materials": config_spec}))
+        args += ["--config", str(cfg)]
+    if flag_spec is not None:
+        args += ["--target-material", flag_spec]
+    rc = main(args)
+    assert rc == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_bad_db_is_input_error(corpus, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

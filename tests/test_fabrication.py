@@ -265,6 +265,19 @@ def test_infeasible_reports_and_leaves_unscaled():
         assert np.allclose(out.scales[pid], 1.0)
 
 
+def test_violations_follow_joint_order():
+    """Clusters are refined in the order of their first joint, so the
+    violations list follows joint order, not part ids."""
+    def infeasible(x):
+        return (aab([x, 0, 0], [0.3, 0.3, 0.3]),
+                aab([x, 0, 0.35], [0.01, 0.01, 0.01]))
+
+    boxes = dict(enumerate(infeasible(0.0) + infeasible(5.0)))
+    out = refine_part_dimensions([mt_assignment((2, 3), 2, 3),
+                                  mt_assignment((0, 1), 0, 1)], boxes)
+    assert [v["edge"] for v in out.violations] == [[2, 3], [0, 1]]
+
+
 # ---------------------------------------------------------------------------
 # joint forming and the voxel oracle
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from meshreform import synthetic
 from meshreform.graphs import (GROUND_ID, build_contact_graph,
                                build_repetition_graph, congruence_rms,
-                               estimate_contact_angle, fold_angle_deg,
-                               annotate_contact_angles)
+                               connected_components, estimate_contact_angle,
+                               fold_angle_deg, annotate_contact_angles)
 from meshreform.mesh import (Model, Part, SurfaceSamples, TriangleMesh,
                              normalize_model, sample_surface)
 from meshreform.obb import OrientedBox
@@ -391,3 +391,36 @@ def test_congruence_finds_copy_under_any_frame_labelling(perm):
     got = congruence_rms(desc_a, pts_a, desc_b, pts_b, stop_below=None)
     assert got < 1e-12
     assert congruence_rms_reference(desc_a, pts_a, desc_b, pts_b) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# connected components
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_connected_components_matches_scipy(data):
+    """Memberships equal scipy's labelling; each component is sorted and the
+    components are ordered by their smallest node. Isolated nodes, repeated
+    pairs and self-pairs all occur in the draws."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components as scipy_components
+
+    nodes = data.draw(st.lists(st.integers(-50, 50), min_size=1, max_size=25,
+                               unique=True))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(nodes),
+                                         st.sampled_from(nodes)), max_size=40))
+    got = connected_components(nodes, pairs)
+
+    index = {n: k for k, n in enumerate(nodes)}
+    rows = [index[i] for i, _ in pairs]
+    cols = [index[j] for _, j in pairs]
+    adj = coo_matrix((np.ones(len(pairs)), (rows, cols)),
+                     shape=(len(nodes), len(nodes)))
+    count, labels = scipy_components(adj, directed=False)
+    expected = {frozenset(n for n in nodes if labels[index[n]] == c)
+                for c in range(count)}
+    assert {frozenset(c) for c in got} == expected
+    assert sum(len(c) for c in got) == len(nodes)
+    assert all(c == sorted(c) for c in got)
+    assert [c[0] for c in got] == sorted(c[0] for c in got)

@@ -5,12 +5,14 @@ import pytest
 
 from meshreform.mesh import Material, sample_surface
 from meshreform.part_analysis import analyze_part
-from meshreform.similarity import (SIGMA_R, SIGMA_T, contact_angle_similarity,
-                                   contact_angle_similarity_vec,
+from meshreform.similarity import (SHAPE_MODES, SIGMA_R, SIGMA_T,
+                                   area_ratio_similarity,
+                                   contact_angle_similarity,
                                    material_similarity, obb_similarity,
                                    orientation_angle_similarity,
-                                   orientation_angles, shape_similarity,
-                                   spatial_similarity)
+                                   orientation_angles, shape_matrix,
+                                   shape_similarity, spatial_similarity,
+                                   thickness_similarity)
 from conftest import make_box_part, random_rotation
 
 E1 = math.exp(-1.0)
@@ -76,18 +78,55 @@ def test_contact_angle_cases():
     assert contact_angle_similarity(90.0, None) == 0.0
     assert contact_angle_similarity(None, 45.0) == 0.0
     assert contact_angle_similarity(90.0, 80.0) == pytest.approx(E1, abs=1e-12)
+    # NaN is N/A too, also inside arrays
+    assert contact_angle_similarity(np.nan, None) == 1.0
+    assert contact_angle_similarity(80.0, np.nan) == 0.0
+    assert contact_angle_similarity(None, [None, 10.0, np.nan]).tolist() == [1.0, 0.0, 1.0]
 
 
-def test_contact_angle_vectorized_matches_scalar():
-    arr = np.array([np.nan, 10.0, 90.0, 45.0])
-    got = contact_angle_similarity_vec(80.0, arr)
-    expected = [contact_angle_similarity(80.0, None),
-                contact_angle_similarity(80.0, 10.0),
-                contact_angle_similarity(80.0, 90.0),
-                contact_angle_similarity(80.0, 45.0)]
-    assert np.allclose(got, expected, atol=1e-15)
-    got_na = contact_angle_similarity_vec(None, arr)
-    assert np.allclose(got_na, [1.0, 0.0, 0.0, 0.0])
+def _angles(rng, n):
+    a = rng.uniform(0.0, 90.0, n)
+    a[rng.random(n) < 0.3] = np.nan
+    return a
+
+
+# kernel, draw of one argument array (rng, n) -> array of n arguments
+ARRAY_KERNELS = {
+    "obb": (obb_similarity, lambda rng, n: rng.uniform(0.01, 1.0, (n, 3))),
+    "area_ratio": (area_ratio_similarity, lambda rng, n: rng.uniform(0.0, 1.0, n)),
+    "thickness": (thickness_similarity, lambda rng, n: rng.uniform(0.0, 0.1, n)),
+    "spatial": (spatial_similarity, lambda rng, n: rng.uniform(0.0, 1.5, n)),
+    "contact_angle": (contact_angle_similarity, _angles),
+    "orientation": (orientation_angle_similarity,
+                    lambda rng, n: rng.uniform(0.0, 90.0, (n, 9))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_KERNELS))
+def test_array_call_matches_scalar_calls(name):
+    """One array call equals the elementwise scalar calls bit for bit, both
+    for a scalar against an array and for two broadcast arrays."""
+    kernel, draw = ARRAY_KERNELS[name]
+    rng = np.random.default_rng(13)
+    a, b = draw(rng, 7), draw(rng, 5)
+    got = kernel(a[0], b)
+    assert got.shape == (5,)
+    assert all(got[k] == kernel(a[0], b[k]) for k in range(5))
+    grid = kernel(a[:, None], b[None, :])
+    assert grid.shape == (7, 5)
+    assert all(grid[i, k] == kernel(a[i], b[k]) for i in range(7) for k in range(5))
+    assert isinstance(kernel(a[0], b[0]), float)
+
+
+@pytest.mark.parametrize("mode", SHAPE_MODES)
+def test_shape_matrix_matches_shape_similarity(mode):
+    descs = [descriptor(dims, seed=k) for k, dims in enumerate(
+        ([0.6, 0.3, 0.1], [0.5, 0.35, 0.12], [0.55, 0.3, 0.09], [0.2, 0.2, 0.2]))]
+    mat = shape_matrix(descs, descs[1:], mode=mode)
+    assert mat.shape == (4, 3)
+    for i, a in enumerate(descs):
+        for k, b in enumerate(descs[1:]):
+            assert mat[i, k] == shape_similarity(a, b, mode=mode)
 
 
 def test_orientation_identical_frames():
