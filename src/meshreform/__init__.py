@@ -25,9 +25,8 @@ from .graphs import (ContactEdge, ContactGraph, RepetitionGraph,
 from .similarity import (contact_angle_similarity, material_similarity,
                          orientation_angle_similarity, shape_similarity,
                          spatial_similarity)
-from .database import (Database, DatabaseSource, angle_feasibility,
-                       build_database, cluster_candidates, load_database,
-                       save_database)
+from .database import (Database, DatabaseSource, build_database,
+                       cluster_candidates, load_database, save_database)
 from .inference import (Assignment, FactorGraph, brute_force_map,
                         build_material_factor_graph, build_reform_factor_graph,
                         run_loopy_bp)

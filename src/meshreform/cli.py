@@ -10,6 +10,7 @@ import os
 import sys
 
 from . import pipeline as pl
+from .codec import encode
 from .database import load_database, save_database
 from .mesh import MeshParseError, load_model
 from .synthetic import GeneratorConfig, generate_synthetic_database
@@ -29,10 +30,11 @@ def _load_config(args) -> pl.PipelineConfig:
     if getattr(args, "target_material", None):
         cfg.target_materials = _parse_targets(args.target_material)
     if getattr(args, "joint_override", None):
-        for spec in args.joint_override:
-            pair, kind = spec.split("=", 1)
-            i, j = (int(x) for x in pair.split(","))
-            cfg.joint_overrides[(min(i, j), max(i, j))] = kind
+        items = [spec.split("=", 1) for spec in args.joint_override]
+        if any(len(item) != 2 for item in items):
+            raise ValueError(f"joint overrides must be i,j=kind, "
+                             f"got {args.joint_override!r}")
+        cfg.joint_overrides.update(pl._joint_overrides(dict(items)))
     return cfg
 
 
@@ -49,18 +51,17 @@ def _parse_targets(spec):
 def _analysis_payload(analysis):
     return {
         "global_scale": analysis.model.global_scale,
-        "descriptors": {str(pid): d.to_json()
-                        for pid, d in analysis.descriptors.items()},
-        "contact_graph": analysis.contact_graph.to_json(),
-        "repetition_graph": analysis.repetition_graph.to_json(),
-        "materials": {str(p.id): p.material.value for p in analysis.model.parts},
+        "descriptors": analysis.descriptors,
+        "contact_graph": analysis.contact_graph,
+        "repetition_graph": analysis.repetition_graph,
+        "materials": {p.id: p.material for p in analysis.model.parts},
     }
 
 
 def _write(path, payload):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=pl._json_default)
+        json.dump(encode(payload), fh, indent=2)
     print(path)
 
 
@@ -110,7 +111,7 @@ def cmd_suggest(args):
     analysis = pl.analyze_model(model, cfg)
     materials, result = pl.suggest_materials(analysis, db)
     _write(args.out, {
-        "materials": {str(k): v.value for k, v in materials.items()},
+        "materials": materials,
         "log_potential": result.log_potential,
         "converged": result.converged,
     })

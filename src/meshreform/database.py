@@ -8,6 +8,7 @@ from typing import Optional
 
 import numpy as np
 
+from .codec import decode, encode
 from .mesh import Material, Model, TriangleMesh
 from .part_analysis import PartDescriptor
 from .similarity import orientation_angles
@@ -32,32 +33,8 @@ class ExemplarPart:
     material: Material
     source_model: str
     cluster_id: Optional[int] = None
-    mesh: Optional[TriangleMesh] = None
     congruent_duplicate: bool = False
-
-    def to_json(self, with_mesh=True):
-        d = {
-            "index": self.index,
-            "descriptor": self.descriptor.to_json(),
-            "material": self.material.value,
-            "source_model": self.source_model,
-            "cluster_id": self.cluster_id,
-            "congruent_duplicate": self.congruent_duplicate,
-        }
-        if with_mesh and self.mesh is not None:
-            d["mesh"] = {"vertices": self.mesh.vertices.tolist(),
-                         "faces": self.mesh.faces.tolist()}
-        return d
-
-    @classmethod
-    def from_json(cls, d):
-        mesh = None
-        if d.get("mesh") is not None:
-            mesh = TriangleMesh(np.array(d["mesh"]["vertices"]),
-                                np.array(d["mesh"]["faces"]))
-        return cls(d["index"], PartDescriptor.from_json(d["descriptor"]),
-                   Material(d["material"]), d["source_model"],
-                   d.get("cluster_id"), mesh, d.get("congruent_duplicate", False))
+    mesh: Optional[TriangleMesh] = None
 
 
 @dataclass
@@ -68,20 +45,6 @@ class ExemplarContact:
     angle: Optional[float]
     orientation_vec: np.ndarray
     joint_kind: Optional[str] = None
-
-    def to_json(self):
-        return {
-            "u": self.u, "v": self.v,
-            "barycenter_distance": self.barycenter_distance,
-            "angle": self.angle,
-            "orientation_vec": np.asarray(self.orientation_vec).tolist(),
-            "joint_kind": self.joint_kind,
-        }
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(d["u"], d["v"], d["barycenter_distance"], d["angle"],
-                   np.array(d["orientation_vec"]), d.get("joint_kind"))
 
 
 @dataclass
@@ -124,19 +87,13 @@ class AngleHistogram:
     def feasibility(self, angle):
         return float(self.smoothed_frequencies()[self.bin_of(angle)])
 
-    def to_json(self):
-        return {"material": self.material, "bins": self.bins.tolist()}
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(d["material"], np.array(d["bins"], dtype=float))
-
 
 @dataclass
 class Database:
-    parts: list = field(default_factory=list)
-    contacts: list = field(default_factory=list)
-    histograms: dict = field(default_factory=dict)  # "wood"/"metal" -> AngleHistogram
+    parts: list[ExemplarPart] = field(default_factory=list)
+    contacts: list[ExemplarContact] = field(default_factory=list)
+    histograms: dict[str, AngleHistogram] = field(default_factory=lambda: {
+        m: AngleHistogram(m) for m in ("wood", "metal")})
     candidates: list = field(default_factory=list)  # part indices
 
     def part(self, index) -> ExemplarPart:
@@ -172,10 +129,7 @@ def build_database(sources, cfg, normalized=False) -> Database:
     # pipeline imports this module at its top, so import at call time
     from .pipeline import analyze_model
 
-    db = Database(histograms={
-        "wood": AngleHistogram("wood"),
-        "metal": AngleHistogram("metal"),
-    })
+    db = Database()
     for si, src in enumerate(sources):
         name = src.name or f"model_{si}"
         for p in src.model.parts:
@@ -183,40 +137,46 @@ def build_database(sources, cfg, normalized=False) -> Database:
                 raise ValueError(f"untagged part {p.id} ({p.name!r}) in model {name}")
         if all(p.material == Material.OTHER for p in src.model.parts):
             continue
-        analysis = analyze_model(src.model, cfg, normalized)
-        parts = analysis.model.parts
-        descriptors = analysis.descriptors
-
-        index_of = {}
-        congruent_dup = set()
-        for cls_ in analysis.repetition_graph.classes():
-            congruent_dup.update(cls_[1:])
-        for p in parts:
-            idx = len(db.parts)
-            index_of[p.id] = idx
-            db.parts.append(ExemplarPart(
-                index=idx, descriptor=descriptors[p.id], material=p.material,
-                source_model=name, mesh=p.mesh, cluster_id=None,
-                congruent_duplicate=p.id in congruent_dup))
-
-        names = {p.id: p.name for p in parts}
-        for e in analysis.contact_graph.part_edges():
-            du = descriptors[e.i]
-            dv = descriptors[e.j]
-            kind = None
-            if src.joint_tags:
-                kind = src.joint_tags.get(frozenset((names[e.i], names[e.j])))
-            contact = ExemplarContact(
-                u=index_of[e.i], v=index_of[e.j],
-                barycenter_distance=float(np.linalg.norm(du.barycenter - dv.barycenter)),
-                angle=e.angle,
-                orientation_vec=orientation_angles(du.obb.axes, dv.obb.axes),
-                joint_kind=kind)
-            db.contacts.append(contact)
-            mats = (db.parts[contact.u].material, db.parts[contact.v].material)
-            if e.angle is not None and mats[0] == mats[1]:
-                db.histograms[mats[0].value].add(e.angle)
+        _index_model(db, analyze_model(src.model, cfg, normalized), name,
+                     src.joint_tags)
     return db
+
+
+def _index_model(db: Database, analysis, name, joint_tags=None):
+    """Append one analysed model's parts and contacts to ``db`` and count
+    its same-material contact angles."""
+    parts = analysis.model.parts
+    descriptors = analysis.descriptors
+
+    index_of = {}
+    congruent_dup = set()
+    for cls_ in analysis.repetition_graph.classes():
+        congruent_dup.update(cls_[1:])
+    for p in parts:
+        idx = len(db.parts)
+        index_of[p.id] = idx
+        db.parts.append(ExemplarPart(
+            index=idx, descriptor=descriptors[p.id], material=p.material,
+            source_model=name, mesh=p.mesh, cluster_id=None,
+            congruent_duplicate=p.id in congruent_dup))
+
+    names = {p.id: p.name for p in parts}
+    for e in analysis.contact_graph.part_edges():
+        du = descriptors[e.i]
+        dv = descriptors[e.j]
+        kind = None
+        if joint_tags:
+            kind = joint_tags.get(frozenset((names[e.i], names[e.j])))
+        contact = ExemplarContact(
+            u=index_of[e.i], v=index_of[e.j],
+            barycenter_distance=float(np.linalg.norm(du.barycenter - dv.barycenter)),
+            angle=e.angle,
+            orientation_vec=orientation_angles(du.obb.axes, dv.obb.axes),
+            joint_kind=kind)
+        db.contacts.append(contact)
+        mats = (db.parts[contact.u].material, db.parts[contact.v].material)
+        if e.angle is not None and mats[0] == mats[1]:
+            db.histograms[mats[0].value].add(e.angle)
 
 
 def merge_databases(dbs) -> Database:
@@ -227,10 +187,7 @@ def merge_databases(dbs) -> Database:
     """
     import dataclasses
 
-    out = Database(histograms={
-        "wood": AngleHistogram("wood"),
-        "metal": AngleHistogram("metal"),
-    })
+    out = Database()
     for db in dbs:
         offset = len(out.parts)
         for p in db.parts:
@@ -309,43 +266,20 @@ def cluster_candidates(db: Database, k=CANDIDATES_K, seed=0) -> Database:
     return db
 
 
-def angle_feasibility(db: Database, material: Material, angle: float) -> float:
-    """Smoothed histogram frequency of the angle's bin for a same-material
-    pair. Mixed-material contacts are not scored here (treated feasible by
-    the configuration stage)."""
-    key = material.value if isinstance(material, Material) else str(material)
-    if key not in db.histograms:
-        raise ValueError(f"no histogram for material {material}")
-    return db.histograms[key].feasibility(angle)
-
-
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
 
 def save_database(db: Database, path):
-    doc = {
-        "version": DB_VERSION,
-        "parts": [p.to_json() for p in db.parts],
-        "contacts": [c.to_json() for c in db.contacts],
-        "histograms": {k: h.to_json() for k, h in db.histograms.items()},
-        "candidates": list(db.candidates),
-    }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        json.dump({"version": DB_VERSION, **encode(db)}, fh)
 
 
 def load_database(path) -> Database:
     with open(path) as fh:
         doc = json.load(fh)
-    version = doc.get("version")
+    version = doc.get("version") if isinstance(doc, dict) else None
     if version != DB_VERSION:
         raise DatabaseVersionError(
             f"database version {version!r} not supported (expected {DB_VERSION})")
-    db = Database(
-        parts=[ExemplarPart.from_json(p) for p in doc["parts"]],
-        contacts=[ExemplarContact.from_json(c) for c in doc["contacts"]],
-        histograms={k: AngleHistogram.from_json(h) for k, h in doc["histograms"].items()},
-        candidates=list(doc["candidates"]),
-    )
-    return db
+    return decode(Database, doc)

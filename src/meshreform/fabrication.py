@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .codec import decode, encode
 from .graphs import DEFAULT_CONTACT_DISTANCE, connected_components
 from .mesh import Material, Model, Part, save_model
 from .obb import OrientedBox, box_gap, boxes_mesh, subtract_local_box
@@ -66,17 +67,8 @@ class JointType:
     candidates: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.kind not in JOINT_KINDS[self.category]:
+        if self.kind not in JOINT_KINDS.get(self.category, ()):
             raise ValueError(f"kind {self.kind!r} not in category {self.category!r}")
-
-    def to_json(self):
-        return {"category": self.category, "kind": self.kind,
-                "ambiguous": self.ambiguous, "candidates": list(self.candidates)}
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(d["category"], d["kind"], d.get("ambiguous", False),
-                   list(d.get("candidates", [])))
 
 
 @dataclass
@@ -94,15 +86,6 @@ class JointAssignment:
                 raise ValueError("tenon and mortise must differ")
         elif self.tenon_part is not None or self.mortise_part is not None:
             raise ValueError("tenon/mortise roles only apply to mortise_tenon")
-
-    def to_json(self):
-        return {"edge": list(self.edge), "joint": self.joint.to_json(),
-                "tenon_part": self.tenon_part, "mortise_part": self.mortise_part}
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(tuple(d["edge"]), JointType.from_json(d["joint"]),
-                   d.get("tenon_part"), d.get("mortise_part"))
 
 
 @dataclass
@@ -368,7 +351,7 @@ class JointGeometry:
     kind: str
     prism: Optional[OrientedBox] = None
     seam_point: Optional[np.ndarray] = None
-    sculpted: dict = field(default_factory=dict)   # part id -> list of boxes
+    sculpted: dict[int, list[OrientedBox]] = field(default_factory=dict)
 
 
 def _tenon_face(tb: OrientedBox, mb: OrientedBox):
@@ -484,51 +467,12 @@ class PartSpec:
     dimensions: np.ndarray       # refined OBB extents, descending
     mesh_file: Optional[str] = None
 
-    def to_json(self):
-        return {"part_id": self.part_id, "material": self.material.value,
-                "dimensions": np.asarray(self.dimensions).tolist(),
-                "mesh_file": self.mesh_file}
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(d["part_id"], Material(d["material"]),
-                   np.array(d["dimensions"]), d.get("mesh_file"))
-
 
 @dataclass
 class FabricationSpec:
-    parts: list                  # PartSpec
-    joints: list                 # JointAssignment
-    geometry: list               # JointGeometry
-
-    def to_json(self):
-        return {
-            "version": SPEC_VERSION,
-            "parts": [p.to_json() for p in self.parts],
-            "joints": [a.to_json() for a in self.joints],
-            "geometry": [{
-                "edge": list(g.edge), "kind": g.kind,
-                "prism": g.prism.to_json() if g.prism is not None else None,
-                "seam_point": None if g.seam_point is None else np.asarray(g.seam_point).tolist(),
-                "sculpted": {str(pid): [b.to_json() for b in bs]
-                             for pid, bs in g.sculpted.items()},
-            } for g in self.geometry],
-        }
-
-    @classmethod
-    def from_json(cls, d):
-        geometry = []
-        for g in d["geometry"]:
-            jg = JointGeometry(
-                edge=tuple(g["edge"]), kind=g["kind"],
-                prism=None if g["prism"] is None else OrientedBox.from_json(g["prism"]),
-                seam_point=None if g["seam_point"] is None else np.array(g["seam_point"]),
-                sculpted={int(pid): [OrientedBox.from_json(b) for b in bs]
-                          for pid, bs in g["sculpted"].items()})
-            geometry.append(jg)
-        return cls(parts=[PartSpec.from_json(p) for p in d["parts"]],
-                   joints=[JointAssignment.from_json(a) for a in d["joints"]],
-                   geometry=geometry)
+    parts: list[PartSpec]
+    joints: list[JointAssignment]
+    geometry: list[JointGeometry]
 
 
 def export_spec(spec: FabricationSpec, out_dir, part_meshes=None):
@@ -550,14 +494,15 @@ def export_spec(spec: FabricationSpec, out_dir, part_meshes=None):
             p.mesh_file = fname
     path = os.path.join(out_dir, "spec.json")
     with open(path, "w") as fh:
-        json.dump(spec.to_json(), fh, indent=2)
+        json.dump({"version": SPEC_VERSION, **encode(spec)}, fh, indent=2)
     return path
 
 
 def load_spec(path) -> FabricationSpec:
     with open(path) as fh:
         d = json.load(fh)
-    if d.get("version") != SPEC_VERSION:
-        raise ValueError(f"unsupported spec version {d.get('version')!r}")
-    return FabricationSpec.from_json(d)
+    version = d.get("version") if isinstance(d, dict) else None
+    if version != SPEC_VERSION:
+        raise ValueError(f"unsupported spec version {version!r}")
+    return decode(FabricationSpec, d)
 

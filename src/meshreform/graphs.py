@@ -57,25 +57,11 @@ class ContactEdge:
     def other(self, pid):
         return self.j if pid == self.i else self.i
 
-    def to_json(self):
-        return {
-            "i": self.i, "j": self.j,
-            "contact_point": np.asarray(self.contact_point).tolist(),
-            "angle": self.angle,
-            "is_ground": self.is_ground,
-            "min_distance": self.min_distance,
-        }
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(d["i"], d["j"], np.array(d["contact_point"]), d["angle"],
-                   d["is_ground"], d.get("min_distance", 0.0))
-
 
 @dataclass
 class ContactGraph:
     nodes: list
-    edges: list = field(default_factory=list)
+    edges: list[ContactEdge] = field(default_factory=list)
 
     def part_edges(self):
         return [e for e in self.edges if not e.is_ground]
@@ -96,18 +82,11 @@ class ContactGraph:
                 return e
         return None
 
-    def to_json(self):
-        return {"nodes": self.nodes, "edges": [e.to_json() for e in self.edges]}
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(d["nodes"], [ContactEdge.from_json(e) for e in d["edges"]])
-
 
 @dataclass
 class RepetitionGraph:
     nodes: list
-    edges: list = field(default_factory=list)  # (i, j) pairs, i < j
+    edges: list[tuple] = field(default_factory=list)  # (i, j) pairs, i < j
 
     def classes(self):
         """Congruence classes as sorted lists (transitive closure)."""
@@ -118,13 +97,6 @@ class RepetitionGraph:
             if pid in cls_:
                 return [p for p in cls_ if p != pid]
         return []
-
-    def to_json(self):
-        return {"nodes": self.nodes, "edges": [list(e) for e in self.edges]}
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(d["nodes"], [tuple(e) for e in d["edges"]])
 
 
 # ---------------------------------------------------------------------------

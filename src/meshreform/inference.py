@@ -86,15 +86,6 @@ class FactorGraph:
             total += lt[indices[f.a], indices[f.b]]
         return float(total)
 
-    def to_json(self):
-        return {
-            "keys": list(self.keys),
-            "domains": [np.asarray(d).tolist() for d in self.domains],
-            "unaries": [np.asarray(u).tolist() for u in self.unaries],
-            "pairwise": [{"a": f.a, "b": f.b, "weight": f.weight, "kind": f.kind,
-                          "table": f.table.tolist()} for f in self.pairwise],
-        }
-
 
 @dataclass
 class Assignment:

@@ -65,19 +65,6 @@ class OrientedBox:
         d = np.asarray(direction, dtype=np.float64)
         return float(2.0 * np.abs(self.axes @ d) @ self.half_extents)
 
-    def to_json(self):
-        return {
-            "center": self.center.tolist(),
-            "axes": self.axes.tolist(),
-            "half_extents": self.half_extents.tolist(),
-            "degenerate": self.degenerate,
-        }
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(np.array(d["center"]), np.array(d["axes"]),
-                   np.array(d["half_extents"]), d.get("degenerate", False))
-
 
 def _box_from_axes(points, axes):
     """Tight box around points for a given orthonormal frame; axes reordered

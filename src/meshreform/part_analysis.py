@@ -38,35 +38,6 @@ class PartDescriptor:
     def segment_length(self):
         return float(np.linalg.norm(self.segment[1] - self.segment[0]))
 
-    def to_json(self):
-        return {
-            "obb": self.obb.to_json(),
-            "size_vec": self.size_vec.tolist(),
-            "area_ratio": self.area_ratio,
-            "thickness": self.thickness,
-            "thickness_fallback": self.thickness_fallback,
-            "is_linear": self.is_linear,
-            "curvilinear": self.curvilinear,
-            "dominant_axis": self.dominant_axis.tolist(),
-            "segment": self.segment.tolist(),
-            "barycenter": self.barycenter.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(
-            obb=OrientedBox.from_json(d["obb"]),
-            size_vec=np.array(d["size_vec"]),
-            area_ratio=d["area_ratio"],
-            thickness=d["thickness"],
-            thickness_fallback=d["thickness_fallback"],
-            is_linear=d["is_linear"],
-            curvilinear=d["curvilinear"],
-            dominant_axis=np.array(d["dominant_axis"]),
-            segment=np.array(d["segment"]),
-            barycenter=np.array(d["barycenter"]),
-        )
-
 
 class ThicknessEstimate(NamedTuple):
     value: float

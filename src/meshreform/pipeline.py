@@ -10,12 +10,13 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from . import assembly, config_opt, fabrication, inference
+from .codec import decode, encode
 from .database import (CANDIDATES_K, Database, DatabaseSource,
                        build_database, cluster_candidates, load_database)
 from .graphs import (CONTACT_SAMPLES, DEFAULT_CONTACT_DISTANCE, GROUND_ID,
@@ -30,9 +31,6 @@ logger = logging.getLogger(__name__)
 
 # per-part surface samples behind descriptors and contact angles
 SURFACE_SAMPLES = 1000
-
-# JSON types a config value may take, by field type (bools are not numbers)
-_JSON_TYPES = {int: (int,), float: (int, float), list: (list,), dict: (dict,)}
 
 
 class StageError(RuntimeError):
@@ -57,11 +55,6 @@ class PipelineConfig:
     compact_parts: list = field(default_factory=list)
     joint_overrides: dict = field(default_factory=dict)   # (i, j) -> kind
 
-    def to_json(self):
-        d = asdict(self)
-        d["joint_overrides"] = {f"{i},{j}": k for (i, j), k in self.joint_overrides.items()}
-        return d
-
     @classmethod
     def from_json(cls, d):
         if not isinstance(d, dict):
@@ -69,21 +62,11 @@ class PipelineConfig:
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        for f in fields(cls):
-            if f.name not in d or f.type not in _JSON_TYPES:
-                continue
-            value = d[f.name]
-            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
-                raise ValueError(f"config key {f.name!r} must be "
-                                 f"{f.type.__name__}, got {value!r}")
-        d = dict(d)
-        if "target_materials" in d:
-            d["target_materials"] = _target_spec(d["target_materials"])
-        if "joint_overrides" in d:
-            d["joint_overrides"] = {
-                tuple(int(x) for x in k.split(",")): v
-                for k, v in d["joint_overrides"].items()}
-        return cls(**d)
+        # absent keys keep their defaults; decode checks every value's type
+        cfg = decode(cls, {**encode(cls()), **d})
+        cfg.target_materials = _target_spec(cfg.target_materials)
+        cfg.joint_overrides = _joint_overrides(cfg.joint_overrides)
+        return cfg
 
     @classmethod
     def load(cls, path):
@@ -163,6 +146,24 @@ def _target_spec(spec):
             raise ValueError(f"target material of part {key} must be wood or metal, "
                              f"got {mat!r}")
         out[int(pid)] = Material(mat)
+    return out
+
+
+def _joint_overrides(spec):
+    """``{"i,j": kind}`` as ``{(min, max): kind}``. Raises ValueError on a
+    malformed pair or a kind outside ``fabrication.JOINT_KINDS``; whether
+    the kind fits the edge's materials is checked when joints are inferred."""
+    kinds = sorted({k for ks in fabrication.JOINT_KINDS.values() for k in ks})
+    out = {}
+    for pair, kind in spec.items():
+        try:
+            i, j = (int(x) for x in pair.split(","))
+        except ValueError:
+            raise ValueError(f"joint override pair must be i,j, got {pair!r}") from None
+        if kind not in kinds:
+            raise ValueError(f"joint override {pair}: kind must be one of "
+                             f"{', '.join(kinds)}, got {kind!r}")
+        out[(min(i, j), max(i, j))] = kind
     return out
 
 
@@ -325,18 +326,8 @@ def refine_and_form(state: ReformedState, assignments, cfg: PipelineConfig):
 def _dump(out_dir, name, payload):
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=_json_default)
+        json.dump(encode(payload), fh, indent=2)
     return path
-
-
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, Material):
-        return obj.value
-    raise TypeError(f"not serializable: {type(obj)}")
 
 
 def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
@@ -360,9 +351,9 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
         t0 = time.perf_counter()
         analysis = analyze_model(model, cfg)
         _dump(out_dir, "01_analysis.json", {
-            "descriptors": {pid: d.to_json() for pid, d in analysis.descriptors.items()},
-            "contact_graph": analysis.contact_graph.to_json(),
-            "repetition_graph": analysis.repetition_graph.to_json(),
+            "descriptors": analysis.descriptors,
+            "contact_graph": analysis.contact_graph,
+            "repetition_graph": analysis.repetition_graph,
         })
         summary["stages"][stage] = {
             "seconds": time.perf_counter() - t0,
@@ -373,7 +364,7 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
         stage = "materials"
         t0 = time.perf_counter()
         targets = resolve_targets(analysis, db, cfg)
-        _dump(out_dir, "02_targets.json", {str(k): v.value for k, v in targets.items()})
+        _dump(out_dir, "02_targets.json", targets)
         summary["stages"][stage] = {"seconds": time.perf_counter() - t0,
                                     "targets": {str(k): v.value for k, v in targets.items()}}
 
@@ -381,7 +372,7 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
         t0 = time.perf_counter()
         assignment = reform_assignment(analysis, targets, db, cfg)
         _dump(out_dir, "03_assignment.json", {
-            "labels": {str(k): int(v) for k, v in assignment.labels.items()},
+            "labels": assignment.labels,
             "log_potential": assignment.log_potential,
             "converged": assignment.converged,
             "iterations": assignment.iterations,
@@ -396,7 +387,7 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
         state = reformed_state(analysis, placed, targets, db, cfg,
                                restore_report=report)
         _dump(out_dir, "04_restore.json", {
-            "displacements": {str(k): v.tolist() for k, v in report.displacements.items()},
+            "displacements": report.displacements,
             "objective_before": report.objective_before,
             "objective_after": report.objective_after,
         })
@@ -410,15 +401,13 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
         if best is not None:
             state = apply_configuration(state, best, db, cfg)
         _dump(out_dir, "05_configuration.json", {
-            "constraints": [{"edge": list(c.edge), "angle": c.angle,
-                             "target": c.target, "feasibility": c.feasibility}
-                            for c in constraints],
+            "constraints": constraints,
             "n_configurations": len(configs),
             "selected": None if best is None else {
                 "index": best.index, "objective": best.objective,
                 "opt_value": best.opt_value,
-                "dropped_edges": [list(e) for e in best.dropped_edges],
-                "new_contacts": [list(e) for e in best.new_contacts],
+                "dropped_edges": best.dropped_edges,
+                "new_contacts": best.new_contacts,
                 "moved_parts": best.moved_parts,
                 "feasibility_report": best.feasibility_report,
             },
@@ -431,7 +420,7 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
         stage = "infer-joints"
         t0 = time.perf_counter()
         assignments = infer_joints(state, db, cfg)
-        _dump(out_dir, "06_joints.json", [a.to_json() for a in assignments])
+        _dump(out_dir, "06_joints.json", assignments)
         summary["stages"][stage] = {"seconds": time.perf_counter() - t0,
                                     "joints": len(assignments),
                                     "ambiguous": sum(a.joint.ambiguous for a in assignments)}
@@ -440,7 +429,7 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
         t0 = time.perf_counter()
         refinement, geometry = refine_and_form(state, assignments, cfg)
         _dump(out_dir, "07_refinement.json", {
-            "scales": {str(k): v.tolist() for k, v in refinement.scales.items()},
+            "scales": refinement.scales,
             "violations": refinement.violations,
             "kkt_residual": refinement.kkt_residual,
         })

@@ -110,22 +110,6 @@ class GeneratorConfig:
                 (("chair", self.chairs), ("table", self.tables),
                  ("bed", self.beds), ("cabinet", self.cabinets))}
 
-    def to_json(self):
-        return {"chairs": self.chairs, "tables": self.tables, "beds": self.beds,
-                "cabinets": self.cabinets, "scale": self.scale,
-                "wood_thickness": list(self.wood_thickness),
-                "metal_thickness": list(self.metal_thickness),
-                "wood_jitter_deg": self.wood_jitter_deg,
-                "metal_angle_range": list(self.metal_angle_range)}
-
-    @classmethod
-    def from_json(cls, d):
-        d = dict(d)
-        for k in ("wood_thickness", "metal_thickness", "metal_angle_range"):
-            if k in d:
-                d[k] = tuple(d[k])
-        return cls(**d)
-
 
 class _Builder:
     """Accumulates parts and joint tags for one model."""

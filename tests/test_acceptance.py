@@ -13,7 +13,8 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from meshreform import kernels
-from meshreform.database import merge_databases, build_database, cluster_candidates
+from meshreform.database import (Database, _index_model, cluster_candidates,
+                                 merge_databases)
 from meshreform.fabrication import (JointAssignment, JointType, QueryContact,
                                     boxes_volume, form_joint_geometry,
                                     infer_joint_types, joint_category,
@@ -64,8 +65,12 @@ def corpus():
     analyses = {}
     minidbs = {}
     for src in sources:
+        # each mini database is what build_database([src], ACCEPT_CFG) gives,
+        # indexed from the analysis already made
         analyses[src.name] = analyze_model(src.model, ACCEPT_CFG)
-        minidbs[src.name] = build_database([src], ACCEPT_CFG)
+        minidbs[src.name] = Database()
+        _index_model(minidbs[src.name], analyses[src.name], src.name,
+                     src.joint_tags)
     full = merge_databases(minidbs.values())
     full = cluster_candidates(full, k=80, seed=0)
     return {"sources": {s.name: s for s in sources}, "analyses": analyses,

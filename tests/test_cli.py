@@ -110,6 +110,15 @@ def test_joint_override_flag(corpus, tmp_path):
         assert not mine[0]["joint"]["ambiguous"]
 
 
+@pytest.mark.parametrize("flag", ["0,1=foo", "0,1", "0=lap"])
+def test_bad_joint_override_flag_is_input_error(corpus, tmp_path, capsys, flag):
+    rc = main(["pipeline", "--model", corpus["query"], "--db", corpus["db"],
+               "--out", str(tmp_path / "run"), "--joint-override", flag])
+    assert rc == EXIT_INPUT
+    assert "joint override" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_model_is_input_error(corpus, tmp_path, capsys):
     rc = main(["pipeline", "--model", "/nonexistent.obj", "--db", corpus["db"],
                "--out", str(tmp_path / "x")])

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from meshreform.codec import encode
 from meshreform.database import (AngleHistogram, Database, DatabaseSource,
-                                 DatabaseVersionError, angle_feasibility,
-                                 build_database, cluster_candidates,
-                                 load_database, part_feature, save_database,
+                                 DatabaseVersionError, build_database,
+                                 cluster_candidates, load_database,
+                                 part_feature, save_database, _index_model,
                                  _kmeans)
 from meshreform.mesh import Material, Model
 from meshreform.pipeline import PipelineConfig, analyze_model
@@ -56,8 +57,16 @@ def test_exemplars_analysed_like_queries(thickness_bin):
     analysis = analyze_model(src.model, cfg)
     assert len(db.parts) == len(analysis.model.parts)
     for exemplar, part in zip(db.parts, analysis.model.parts):
-        assert (json.dumps(exemplar.descriptor.to_json())
-                == json.dumps(analysis.descriptors[part.id].to_json()))
+        assert (json.dumps(encode(exemplar.descriptor))
+                == json.dumps(encode(analysis.descriptors[part.id])))
+
+
+def test_index_model_matches_build_database():
+    """Indexing an existing analysis gives what build_database gives."""
+    src = table_source()
+    db = Database()
+    _index_model(db, analyze_model(src.model, CFG), src.name, src.joint_tags)
+    assert json.dumps(encode(db)) == json.dumps(encode(build_database([src], CFG)))
 
 
 def test_all_other_model_skipped_but_rejected_as_query():
@@ -87,8 +96,8 @@ def test_histogram_bins_and_mass():
 
 
 def test_feasibility_spot_values(small_db):
-    assert angle_feasibility(small_db, Material.WOOD, 90.0) >= 0.5
-    assert angle_feasibility(small_db, Material.WOOD, 30.0) < 0.05
+    assert small_db.histograms["wood"].feasibility(90.0) >= 0.5
+    assert small_db.histograms["wood"].feasibility(30.0) < 0.05
 
 
 def test_uniform_metal_bins():
@@ -102,10 +111,9 @@ def test_uniform_metal_bins():
 
 
 def test_empty_histogram_errors():
-    db = Database(histograms={"wood": AngleHistogram("wood"),
-                              "metal": AngleHistogram("metal")})
+    db = Database()
     with pytest.raises(ValueError):
-        angle_feasibility(db, Material.WOOD, 45.0)
+        db.histograms["wood"].feasibility(45.0)
 
 
 # ---------------------------------------------------------------------------

@@ -135,12 +135,27 @@ def test_config_roundtrip(tmp_path):
     cfg = PipelineConfig(d_c=0.02, seed=5,
                          joint_overrides={(0, 3): "lap"})
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_json()))
+    path.write_text(json.dumps({"d_c": 0.02, "seed": 5,
+                                "joint_overrides": {"0,3": "lap"}}))
     back = PipelineConfig.load(path)
     assert back.d_c == 0.02
     assert back.seed == 5
     assert back.joint_overrides == {(0, 3): "lap"}
     assert back == cfg
+
+
+def test_config_joint_override_pair_is_sorted():
+    cfg = PipelineConfig.from_json({"joint_overrides": {"3,1": "lap"}})
+    assert cfg.joint_overrides == {(1, 3): "lap"}
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"0,2": "foo"}, "foo"), ({"0,2": 3}, "3"), ({"0": "lap"}, "'0'"),
+    ({"0,1,2": "lap"}, "0,1,2"), ({"a,b": "lap"}, "a,b"),
+])
+def test_config_bad_joint_override_is_rejected(overrides, named):
+    with pytest.raises(ValueError, match=named):
+        PipelineConfig.from_json({"joint_overrides": overrides})
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from meshreform.codec import decode, encode
 from meshreform.database import build_database
 from meshreform.mesh import Material
 from meshreform.pipeline import PipelineConfig
@@ -105,5 +108,5 @@ def test_counts_require_positive():
 
 def test_config_roundtrip():
     cfg = GeneratorConfig(scale=0.5, wood_thickness=(0.02, 0.03))
-    back = GeneratorConfig.from_json(cfg.to_json())
+    back = decode(GeneratorConfig, json.loads(json.dumps(encode(cfg))))
     assert back == cfg
