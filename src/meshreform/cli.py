@@ -134,8 +134,6 @@ def cmd_validate(args):
         for k, s in freqs.items():
             if abs(s - 1.0) > 1e-9:
                 raise ValueError(f"histogram {k} frequencies sum to {s}")
-        if any(c >= len(db.parts) for c in db.candidates):
-            raise ValueError("candidate index out of range")
         print(f"db ok: {len(db.parts)} parts, {len(db.contacts)} contacts, "
               f"{len(db.candidates)} candidates")
     if args.model:

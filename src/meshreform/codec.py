@@ -98,6 +98,15 @@ def decode(cls, data):
     raise TypeError(f"no JSON form for {cls!r}")
 
 
+def check_shapes(obj, **shapes):
+    """Raise ValueError unless each named array field of ``obj`` has the
+    given shape; for the constructors of classes with fixed-size arrays."""
+    for name, shape in shapes.items():
+        got = np.shape(getattr(obj, name))
+        if got != shape:
+            raise ValueError(f"{name} must be {shape}, got {got}")
+
+
 def _expect(data, kinds):
     # bool is an int in Python, but never a number in these files
     if not isinstance(data, kinds) or (isinstance(data, bool) and kinds is not bool):

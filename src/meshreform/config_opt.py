@@ -3,12 +3,21 @@
 Parts are abstracted to line segments. Contacts between two linear parts
 whose angle is implausible for the material (low histogram feasibility) get
 a target angle; every valid slide/rotate choice for those edges is
-enumerated, each choice is solved by gradient-based minimization of the
-angle/length/repulsion objective, and the configuration with the smallest
-post-solve angle error over surviving contacts wins, the unmoved model
-included. Contacts a moving part slides away from are dropped (topology
-change); moved parts must retain at least two distinct contact points,
-counting the ground.
+enumerated, and the configuration with the smallest post-solve angle error
+over surviving contacts wins, the unmoved model included. Contacts a moving
+part slides away from are dropped (topology change); moved parts must retain
+at least two distinct contact points, counting the ground.
+
+Choices are solved by gradient-based minimization of the
+angle/length/repulsion objective in order of a lower bound on their
+selection objective, the unmoved model's angle error over the constrained
+edges with no moving endpoint, and the walk stops at the first bound above
+the best supported objective's tie threshold (branch and bound). The bound
+is exact because those edges are always kept with their original segments,
+so it sums a subset of the objective's nonnegative terms in the same order.
+A change to the selection objective must keep it a sum of nonnegative
+per-edge terms that includes every constrained edge without a moving
+endpoint, or the bound no longer holds.
 """
 
 import itertools
@@ -609,6 +618,42 @@ def _feasibility_report(segments, targets, parts, materials, db, restrict=None):
                     "error_sq": float(err), "feasibility": feas,
                     "kept": restrict is None or edge in restrict})
     return out
+
+
+def objective_lower_bound(cset: ConstraintSet, unmoved: Configuration) -> float:
+    """A lower bound on ``cset``'s selection objective: the ``unmoved``
+    configuration's squared angle errors over the constrained edges with
+    neither endpoint in ``cset.moving``, summed in the objective's sorted
+    edge order. Those edges are always kept and their segments stay the
+    originals, and adding nonnegative terms never lowers a rounded sum."""
+    return float(sum(r["error_sq"] for r in unmoved.feasibility_report
+                     if cset.moving.isdisjoint(r["edge"])))
+
+
+def solve_in_bound_order(sets, constraints, parts: dict, graph: ContactGraph,
+                         unmoved: Configuration, db=None, materials=None,
+                         d_c=DEFAULT_CONTACT_DISTANCE) -> list:
+    """Solve the sets that can still be selected, in order of
+    (``objective_lower_bound``, index), and return them in index order.
+
+    ``best`` is the smallest objective of any supported configuration so
+    far, starting from ``unmoved``. The walk stops at the first set whose
+    bound exceeds ``best``'s tie threshold: bounds only grow along the
+    order, and the selection's objective is at most ``best``, so neither
+    that set nor any later one can be selected or tie with the selection.
+    Solves share no state, so their order does not change their results."""
+    best = unmoved.objective
+    solved = []
+    for bound, cset in sorted(((objective_lower_bound(s, unmoved), s) for s in sets),
+                              key=lambda pair: (pair[0], pair[1].index)):
+        if bound > best + TIE_TOL * max(1.0, abs(best)):
+            break
+        config = optimize_configuration(cset, constraints, parts, graph, db=db,
+                                        materials=materials, d_c=d_c)
+        if config.no_hanging_ok:
+            best = min(best, config.objective)
+        solved.append(config)
+    return sorted(solved, key=lambda c: c.index)
 
 
 def select_best_configuration(configs: list) -> Configuration:

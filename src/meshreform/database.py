@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import decode, encode
+from .codec import check_shapes, decode, encode
 from .mesh import Material, Model, TriangleMesh
 from .part_analysis import PartDescriptor
 from .similarity import orientation_angles
@@ -46,6 +46,9 @@ class ExemplarContact:
     orientation_vec: np.ndarray
     joint_kind: Optional[str] = None
 
+    def __post_init__(self):
+        check_shapes(self, orientation_vec=(9,))
+
 
 @dataclass
 class AngleHistogram:
@@ -54,6 +57,9 @@ class AngleHistogram:
 
     material: str  # "wood" or "metal"
     bins: np.ndarray = field(default_factory=lambda: np.zeros(ANGLE_BIN_COUNT))
+
+    def __post_init__(self):
+        check_shapes(self, bins=(ANGLE_BIN_COUNT,))
 
     @property
     def total(self):
@@ -94,7 +100,16 @@ class Database:
     contacts: list[ExemplarContact] = field(default_factory=list)
     histograms: dict[str, AngleHistogram] = field(default_factory=lambda: {
         m: AngleHistogram(m) for m in ("wood", "metal")})
-    candidates: list = field(default_factory=list)  # part indices
+    candidates: list[int] = field(default_factory=list)  # part indices
+
+    def __post_init__(self):
+        n = len(self.parts)
+        refs = [(f"contacts[{k}].{end}", getattr(c, end))
+                for k, c in enumerate(self.contacts) for end in ("u", "v")]
+        refs += [(f"candidates[{k}]", c) for k, c in enumerate(self.candidates)]
+        for where, index in refs:
+            if not 0 <= index < n:
+                raise ValueError(f"{where}: {index} is not a part index ({n} parts)")
 
     def part(self, index) -> ExemplarPart:
         return self.parts[index]

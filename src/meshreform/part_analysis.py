@@ -6,6 +6,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import kernels
+from .codec import check_shapes
 from .mesh import Part, SurfaceSamples
 from .obb import OrientedBox, fit_points_obb
 
@@ -34,6 +35,10 @@ class PartDescriptor:
     dominant_axis: np.ndarray
     segment: np.ndarray        # (2, 3) endpoints
     barycenter: np.ndarray     # area-weighted surface barycenter
+
+    def __post_init__(self):
+        check_shapes(self, size_vec=(3,), dominant_axis=(3,), segment=(2, 3),
+                     barycenter=(3,))
 
     def segment_length(self):
         return float(np.linalg.norm(self.segment[1] - self.segment[0]))

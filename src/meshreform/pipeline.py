@@ -236,9 +236,10 @@ def reformed_state(analysis: ModelAnalysis, placed, targets, db: Database,
 
 
 def optimize_angles(state: ReformedState, db: Database, cfg: PipelineConfig):
-    """Angle feasibility assessment, enumeration, optimization, selection
-    among the solved sets and the unmoved model. Returns (selected
-    Configuration or None, constraints, solved configs)."""
+    """Angle feasibility assessment, enumeration, optimization of the sets
+    that can still win, selection among them and the unmoved model. Returns
+    (selected Configuration or None, constraints, solved configs, number of
+    enumerated sets)."""
     parts = {}
     for pid, desc in state.descriptors.items():
         parts[pid] = config_opt.PartState(
@@ -247,18 +248,18 @@ def optimize_angles(state: ReformedState, db: Database, cfg: PipelineConfig):
             box=None if desc.is_linear else desc.obb)
     constraints = config_opt.assess_angle_feasibility(state.graph, parts, db)
     if not constraints:
-        return None, [], []
+        return None, [], [], 0
     fixed = config_opt.determine_fixed_parts(parts, state.graph, constraints,
                                              repetition=state.repetition)
     sets = config_opt.enumerate_configurations(constraints, state.graph, parts,
                                                fixed=fixed)
-    configs = [config_opt.optimize_configuration(
-        s, constraints, parts, state.graph, db=db, materials=state.materials,
-        d_c=cfg.d_c) for s in sets]
     unmoved = config_opt.all_rigid_configuration(constraints, parts, db,
                                                  state.materials)
+    configs = config_opt.solve_in_bound_order(
+        sets, constraints, parts, state.graph, unmoved, db=db,
+        materials=state.materials, d_c=cfg.d_c)
     best = config_opt.select_best_configuration([unmoved] + configs)
-    return best, constraints, configs
+    return best, constraints, configs, len(sets)
 
 
 def apply_configuration(state: ReformedState, configuration, db,
@@ -397,12 +398,12 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
 
         stage = "optimize-angles"
         t0 = time.perf_counter()
-        best, constraints, configs = optimize_angles(state, db, cfg)
+        best, constraints, configs, n_sets = optimize_angles(state, db, cfg)
         if best is not None:
             state = apply_configuration(state, best, db, cfg)
         _dump(out_dir, "05_configuration.json", {
             "constraints": constraints,
-            "n_configurations": len(configs),
+            "n_configurations": n_sets,
             "selected": None if best is None else {
                 "index": best.index, "objective": best.objective,
                 "opt_value": best.opt_value,
@@ -414,7 +415,10 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
         })
         summary["stages"][stage] = {"seconds": time.perf_counter() - t0,
                                     "constraints": len(constraints),
-                                    "configurations": len(configs),
+                                    "configurations": n_sets,
+                                    "solves": len(configs),
+                                    "unconverged_solves": sum(not c.converged for c in configs),
+                                    "supported_solves": sum(c.no_hanging_ok for c in configs),
                                     "objective": None if best is None else best.objective}
 
         stage = "infer-joints"

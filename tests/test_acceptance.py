@@ -279,7 +279,7 @@ def test_criterion_06_angle_optimization(corpus):
         placed, rep = place_and_restore(analysis, assignment, corpus["db"], ACCEPT_CFG)
         state = reformed_state(analysis, placed, targets, corpus["db"], ACCEPT_CFG,
                                restore_report=rep)
-        best, constraints, configs = optimize_angles(state, corpus["db"], ACCEPT_CFG)
+        best, constraints, _, _ = optimize_angles(state, corpus["db"], ACCEPT_CFG)
         if best is None:
             continue
         assert best.no_hanging_ok

@@ -162,6 +162,58 @@ def test_bad_target_materials_is_input_error(corpus, tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+def _tamper_candidate(doc):
+    doc["candidates"][0] = 999
+
+
+def _tamper_contact(doc):
+    doc["contacts"][0]["u"] = 999
+
+
+def _tamper_segment(doc):
+    segment = doc["parts"][0]["descriptor"]["segment"]
+    segment[:] = segment[:1]
+
+
+def _tamper_barycenter(doc):
+    doc["parts"][0]["descriptor"]["barycenter"].pop()
+
+
+def _tamper_orientation(doc):
+    doc["contacts"][0]["orientation_vec"].pop()
+
+
+def _tamper_bins(doc):
+    doc["histograms"]["wood"]["bins"].pop()
+
+
+@pytest.mark.parametrize("tamper, named", [
+    (_tamper_candidate, "candidates[0]: 999 is not a part index"),
+    (_tamper_contact, "contacts[0].u: 999 is not a part index"),
+    (_tamper_segment, "parts[0].descriptor: segment must be (2, 3)"),
+    (_tamper_barycenter, "parts[0].descriptor: barycenter must be (3,)"),
+    (_tamper_orientation, "contacts[0]: orientation_vec must be (9,)"),
+    (_tamper_bins, "histograms.wood: bins must be (18,)"),
+], ids=["candidate", "contact", "segment", "barycenter", "orientation", "bins"])
+@pytest.mark.parametrize("command", ["pipeline", "validate"])
+def test_db_with_bad_reference_or_shape_is_input_error(corpus, tmp_path, capsys,
+                                                       tamper, named, command):
+    """A db.json whose part references or descriptor segments are broken is
+    rejected when it loads, before any stage runs."""
+    doc = json.load(open(corpus["db"]))
+    tamper(doc)
+    bad = tmp_path / "db.json"
+    bad.write_text(json.dumps(doc))
+    args = ["validate", "--db", str(bad)] if command == "validate" else \
+        ["pipeline", "--model", corpus["query"], "--db", str(bad),
+         "--out", str(tmp_path / "run"), "--config", _config_path(corpus["root"]),
+         "--target-material", "all=wood"]
+    rc = main(args)
+    assert rc == EXIT_INPUT
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "run" / "01_analysis.json").exists()
+
+
 def test_bad_db_is_input_error(corpus, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -7,22 +7,25 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from meshreform import config_opt
+from meshreform import config_opt, synthetic
 from meshreform.config_opt import (ANGLE_WEIGHT_LENGTH, ANGLE_WEIGHT_REPULSE,
-                                   REPULSE_SIGMA, AngleConstraint, Bind,
+                                   REPULSE_SIGMA, TIE_TOL, AngleConstraint, Bind,
                                    ConstraintSet, PartState,
                                    all_rigid_configuration,
                                    assess_angle_feasibility,
                                    determine_fixed_parts,
                                    enumerate_configurations, make_objective,
+                                   objective_lower_bound,
                                    optimize_configuration,
                                    segment_distance,
                                    select_best_configuration, _make_bind,
                                    _segment_angle)
 from meshreform.graphs import GROUND_ID, ContactEdge, ContactGraph
-from meshreform.mesh import Material
+from meshreform.mesh import Material, Model
 from meshreform.obb import OrientedBox
-from meshreform.pipeline import PipelineConfig, ReformedState, optimize_angles
+from meshreform.pipeline import (PipelineConfig, ReformedState, analyze_model,
+                                 optimize_angles, place_and_restore,
+                                 reform_assignment, reformed_state)
 
 
 def seg(a, b):
@@ -730,12 +733,102 @@ def test_unmoved_model_competes(solved, small_db, monkeypatch):
             no_hanging_ok=solved != "unsupported")
 
     monkeypatch.setattr(config_opt, "optimize_configuration", solve)
-    best, constraints, configs = optimize_angles(grounded_bar_state(), small_db,
-                                                 PipelineConfig())
+    best, constraints, configs, n_sets = optimize_angles(grounded_bar_state(), small_db,
+                                                         PipelineConfig())
     assert [c.edge for c in constraints] == [(0, 1)]
-    assert len(configs) == len(sets)
+    assert len(configs) == n_sets == len(sets)
     assert best.index == -1 and best.moved_parts == []
     assert best.objective == pytest.approx((40.0 - constraints[0].target) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# branch and bound over the constraint sets
+# ---------------------------------------------------------------------------
+
+# synthetic models reformed to wood against small_db: a mixed table and a
+# metal bed as in the benchmark's rounds, and a chair with 4 constraints
+BOUND_CASES = {"mixed_table": 1, "metal_bed": 3, "mixed_chair": 0}
+
+
+def reformed_to_wood(name, seed, db, cfg):
+    """Generator ``name``'s model for ``seed``, reformed to wood up to the
+    angle stage."""
+    parts = getattr(synthetic, name)(np.random.default_rng(seed),
+                                     synthetic.GeneratorConfig()).parts
+    analysis = analyze_model(Model(parts=parts), cfg)
+    targets = {pid: Material.WOOD for pid in analysis.descriptors}
+    assignment = reform_assignment(analysis, targets, db, cfg)
+    placed, report = place_and_restore(analysis, assignment, db, cfg)
+    return reformed_state(analysis, placed, targets, db, cfg, restore_report=report)
+
+
+@pytest.fixture(scope="module")
+def bound_runs(small_db):
+    """Per case, optimize_angles' pruned result next to the oracle: every
+    enumerated set solved from the same inputs and the selection among
+    them and the unmoved model."""
+    cfg = PipelineConfig(contact_samples=3000)
+    runs = {}
+    for name, seed in BOUND_CASES.items():
+        seen = {}
+        pruned = config_opt.solve_in_bound_order
+
+        def spy(sets, constraints, parts, graph, unmoved, **kwargs):
+            seen.update(sets=sets, inputs=(constraints, parts, graph),
+                        unmoved=unmoved, kwargs=kwargs)
+            return pruned(sets, constraints, parts, graph, unmoved, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(config_opt, "solve_in_bound_order", spy)
+            best, constraints, solved, n_sets = optimize_angles(
+                reformed_to_wood(name, seed, small_db, cfg), small_db, cfg)
+        full = [optimize_configuration(s, *seen["inputs"], **seen["kwargs"])
+                for s in seen["sets"]]
+        runs[name] = SimpleNamespace(
+            best=best, constraints=constraints, solved=solved, n_sets=n_sets,
+            sets=seen["sets"], unmoved=seen["unmoved"], full=full,
+            oracle=select_best_configuration([seen["unmoved"]] + full))
+    return runs
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_bound_order_selects_as_full_solve(bound_runs, case):
+    run = bound_runs[case]
+    assert run.n_sets == len(run.sets) == len(run.full) > 0
+    if case == "mixed_chair":
+        assert len(run.constraints) == 4
+    got, want = run.best, run.oracle
+    assert (got.index, got.objective, got.opt_value) == \
+        (want.index, want.objective, want.opt_value)
+    assert got.moved_parts == want.moved_parts
+    assert got.dropped_edges == want.dropped_edges
+    assert got.dropped_ground == want.dropped_ground
+    assert got.segments.keys() == want.segments.keys()
+    assert all(np.array_equal(got.segments[p], want.segments[p]) for p in want.segments)
+    # every selection tie of the full solve was solved, with the same result
+    tol = want.objective + TIE_TOL * max(1.0, abs(want.objective))
+    solved = {c.index: c for c in run.solved}
+    assert {c.index for c in run.full if c.no_hanging_ok and c.objective <= tol} \
+        <= set(solved)
+    for k, c in solved.items():
+        assert (c.objective, c.opt_value, c.no_hanging_ok) == \
+            (run.full[k].objective, run.full[k].opt_value, run.full[k].no_hanging_ok)
+
+
+def test_lower_bound_never_exceeds_objective(bound_runs):
+    checked = 0
+    for run in bound_runs.values():
+        for cset, config in zip(run.sets, run.full):
+            assert objective_lower_bound(cset, run.unmoved) <= config.objective
+            checked += 1
+    assert checked == sum(run.n_sets for run in bound_runs.values())
+
+
+def test_bound_order_skips_sets_on_mixed_table(bound_runs):
+    """A silent fall-back to solving every set fails here."""
+    run = bound_runs["mixed_table"]
+    assert 0 < len(run.solved) < run.n_sets
+    assert [c.index for c in run.solved] == sorted(c.index for c in run.solved)
 
 
 def test_segment_distance_cases():
