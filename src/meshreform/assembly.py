@@ -1,8 +1,7 @@
 """Placing replacement parts and restoring the original contact graph."""
 
 import logging
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -10,9 +9,11 @@ from scipy.spatial import cKDTree
 from .graphs import connected_components
 from .mesh import SurfaceSamples, TriangleMesh, sample_surface, Part
 from .obb import OrientedBox
-from .part_analysis import PartDescriptor, ThicknessEstimate, describe_part
 
 logger = logging.getLogger(__name__)
+
+# surface samples per side of a placement's alignment RMS
+RMS_POINTS = 400
 
 # sign patterns of proper rotations when axes are matched by extent order
 _PROPER_SIGNS = np.array([
@@ -29,48 +30,30 @@ class PlacedPart:
 
     The replacement's OBB frame is mapped onto the query part's frame and
     its dominant dimension is scaled to match; the two cross dimensions (and
-    therefore thickness) stay untouched. ``displacement`` holds the contact
-    restoration offset.
+    therefore thickness) stay untouched. Contact restoration translates the
+    pose: ``offset`` and ``box`` move together.
     """
 
     part_id: int
     source_index: int
     linear: np.ndarray                     # (3, 3) rotation @ axis scale
-    offset: np.ndarray                     # (3,) translation before displacement
-    scale: float                           # factor along the dominant axis
-    box: OrientedBox                       # placed OBB (pre-displacement)
-    displacement: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    offset: np.ndarray                     # (3,) translation
+    box: OrientedBox                       # placed OBB
 
     def transform_points(self, pts):
-        return np.atleast_2d(pts) @ self.linear.T + (self.offset + self.displacement)
-
-    def placed_box(self) -> OrientedBox:
-        return OrientedBox(self.box.center + self.displacement,
-                           self.box.axes.copy(), self.box.half_extents.copy())
+        return np.atleast_2d(pts) @ self.linear.T + self.offset
 
     def placed_mesh(self, db) -> TriangleMesh:
         src = db.part(self.source_index).mesh
-        if src is None:
-            raise ValueError(f"database part {self.source_index} has no mesh")
         return TriangleMesh(self.transform_points(src.vertices), src.faces.copy())
 
     def placed_samples(self, db, n=2000, seed=0) -> SurfaceSamples:
         mesh = self.placed_mesh(db)
         return sample_surface(Part(id=self.part_id, mesh=mesh), n, seed=seed)
 
-    def placed_descriptor(self, db) -> PartDescriptor:
-        """Descriptor of the placed geometry on its placed box, keeping the
-        source thickness (no re-fitting or ray casting)."""
-        src = db.part(self.source_index).descriptor
-        part = Part(id=self.part_id, mesh=self.placed_mesh(db))
-        thickness = ThicknessEstimate(src.thickness, src.thickness_fallback, 0.0)
-        desc = describe_part(part, self.placed_box(), thickness)
-        return replace(desc, barycenter=self.transform_points(src.barycenter)[0])
 
-
-def place_replacements(descriptors: dict, assignment, db,
-                       query_samples: Optional[dict] = None,
-                       rms_points=400, seed=0) -> list:
+def place_replacements(descriptors: dict, assignment, db, query_samples: dict,
+                       seed=0) -> list:
     """Pose each assigned database part at its query part.
 
     Axes are matched by descending extent; among the four proper-rotation
@@ -80,22 +63,18 @@ def place_replacements(descriptors: dict, assignment, db,
     placed = []
     for pid in sorted(descriptors):
         q = descriptors[pid]
-        src_idx = int(assignment.labels[pid]) if hasattr(assignment, "labels") \
-            else int(assignment[pid])
+        src_idx = int(assignment.labels[pid])
         r = db.part(src_idx).descriptor
         if q.obb.degenerate or r.obb.degenerate or r.obb.half_extents[0] <= 0:
             raise ValueError(f"degenerate OBB for part {pid} or candidate {src_idx}")
-        scale = q.obb.half_extents[0] / r.obb.half_extents[0]
-        s_diag = np.diag([scale, 1.0, 1.0])
+        s_diag = np.diag([q.obb.half_extents[0] / r.obb.half_extents[0], 1.0, 1.0])
 
         r_mesh = db.part(src_idx).mesh
-        cand_pts = None
-        if r_mesh is not None:
-            n = min(rms_points, max(3 * len(r_mesh.faces), 16))
-            cand_pts = sample_surface(Part(id=src_idx, mesh=r_mesh), n, seed=seed).positions
-        q_tree = None
-        if query_samples is not None and pid in query_samples:
-            q_tree = cKDTree(query_samples[pid].positions[:rms_points])
+        if r_mesh is None:
+            raise ValueError(f"database part {src_idx} has no mesh")
+        n = min(RMS_POINTS, max(3 * len(r_mesh.faces), 16))
+        cand_pts = sample_surface(Part(id=src_idx, mesh=r_mesh), n, seed=seed).positions
+        q_tree = cKDTree(query_samples[pid].positions[:RMS_POINTS])
 
         best = None
         best_rms = np.inf
@@ -103,9 +82,6 @@ def place_replacements(descriptors: dict, assignment, db,
             axes_q = q.obb.axes * signs[:, None]
             linear = axes_q.T @ s_diag @ r.obb.axes
             offset = q.obb.center - linear @ r.obb.center
-            if cand_pts is None or q_tree is None:
-                best = (linear, offset, axes_q)
-                break
             mapped = cand_pts @ linear.T + offset
             d = q_tree.query(mapped)[0]
             rms = float(np.sqrt((d * d).mean()))
@@ -118,8 +94,7 @@ def place_replacements(descriptors: dict, assignment, db,
                                     r.obb.half_extents[1],
                                     r.obb.half_extents[2]]))
         placed.append(PlacedPart(part_id=pid, source_index=src_idx,
-                                 linear=linear, offset=offset, scale=float(scale),
-                                 box=box))
+                                 linear=linear, offset=offset, box=box))
     return placed
 
 
@@ -187,7 +162,8 @@ def restore_contacts(placed: list, contact_graph, db, seed=0):
     part with the most contacts is fixed (ties to the smallest id) and the
     quadratic gap objective is minimized in closed form through its normal
     equations (one graph Laplacian solve per coordinate). Ground edges carry
-    no second part and do not enter the solve. Returns (new placed list, report).
+    no second part and do not enter the solve. Returns (new placed list,
+    report); each returned part's pose is translated by its displacement.
     """
     by_id = {p.part_id: p for p in placed}
     edges = [e for e in contact_graph.part_edges()
@@ -244,11 +220,9 @@ def restore_contacts(placed: list, contact_graph, db, seed=0):
 
     before = objective({pid: np.zeros(3) for pid in by_id})
     after = objective(disp)
-    out = [PlacedPart(p.part_id, p.source_index, p.linear.copy(), p.offset.copy(),
-                      p.scale,
-                      OrientedBox(p.box.center.copy(), p.box.axes.copy(),
-                                  p.box.half_extents.copy()),
-                      displacement=p.displacement + disp[p.part_id])
+    out = [replace(p, offset=p.offset + disp[p.part_id],
+                   box=OrientedBox(p.box.center + disp[p.part_id],
+                                   p.box.axes, p.box.half_extents))
            for p in placed]
     return out, RestoreReport(displacements=disp,
                               objective_before=before, objective_after=after,
@@ -258,7 +232,7 @@ def restore_contacts(placed: list, contact_graph, db, seed=0):
 def repose_to_segment(placed: PlacedPart, new_segment):
     """Rigidly (plus dominant-axis stretch) map a placed part so its segment
     endpoints land on ``new_segment``."""
-    box = placed.placed_box()
+    box = placed.box
     old = np.stack([box.center - box.half_extents[0] * box.axes[0],
                     box.center + box.half_extents[0] * box.axes[0]])
     new = np.asarray(new_segment, dtype=float)
@@ -275,14 +249,13 @@ def repose_to_segment(placed: PlacedPart, new_segment):
     m = rot @ stretch
     t = new[0] - m @ old[0]
     linear = m @ placed.linear
-    offset = m @ (placed.offset + placed.displacement) + t
+    offset = m @ placed.offset + t
     axes = box.axes @ rot.T
     if np.linalg.det(axes) < 0:
         axes[2] = -axes[2]
     new_box = OrientedBox(0.5 * (new[0] + new[1]), axes,
                           np.array([0.5 * l_new, box.half_extents[1], box.half_extents[2]]))
-    return PlacedPart(placed.part_id, placed.source_index, linear, offset,
-                      placed.scale * float(l_new / l_old), new_box)
+    return PlacedPart(placed.part_id, placed.source_index, linear, offset, new_box)
 
 
 def _minimal_rotation(u, v):

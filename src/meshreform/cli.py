@@ -75,6 +75,7 @@ def cmd_ingest(args):
 
 
 def cmd_gen_db(args):
+    cfg = _load_config(args)
     gen = GeneratorConfig(scale=args.scale)
     if args.chairs is not None:
         gen.chairs = args.chairs
@@ -84,11 +85,10 @@ def cmd_gen_db(args):
         gen.beds = args.beds
     if args.cabinets is not None:
         gen.cabinets = args.cabinets
-    sources = generate_synthetic_database(gen, seed=args.seed)
+    sources = generate_synthetic_database(gen, seed=cfg.seed)
     pl.write_sources(sources, args.out)
     print(args.out)
     if args.db:
-        cfg = _load_config(args)
         db = pl.build_database_from_config(sources, cfg)
         save_database(db, args.db)
         print(args.db)
@@ -169,7 +169,8 @@ def make_parser():
     p = sub.add_parser("gen-db", help="generate the synthetic model corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--db", help="also build a database file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="corpus and database seed (default: the config's)")
     p.add_argument("--scale", type=float, default=0.1)
     p.add_argument("--chairs", type=int)
     p.add_argument("--tables", type=int)

@@ -53,7 +53,6 @@ class PartState:
     contact bookkeeping for non-elongated parts use the box surface instead
     of the degenerate centerline."""
 
-    id: int
     segment: np.ndarray          # (2, 3)
     thickness: float
     material: Material

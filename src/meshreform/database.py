@@ -110,6 +110,9 @@ class Database:
         for where, index in refs:
             if not 0 <= index < n:
                 raise ValueError(f"{where}: {index} is not a part index ({n} parts)")
+        for k, c in enumerate(self.candidates):
+            if self.parts[c].mesh is None:
+                raise ValueError(f"candidates[{k}]: no mesh for part {c}")
 
     def part(self, index) -> ExemplarPart:
         return self.parts[index]

@@ -54,9 +54,6 @@ class ContactEdge:
     def key(self):
         return (self.i, self.j)
 
-    def other(self, pid):
-        return self.j if pid == self.i else self.i
-
 
 @dataclass
 class ContactGraph:

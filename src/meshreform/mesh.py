@@ -28,8 +28,8 @@ class TriangleMesh:
     """Indexed triangle soup with derived per-face normals and areas.
 
     vertices: (n, 3) float64, faces: (m, 3) int64. Face indices must be in
-    range; faces with area below ``DEGENERATE_AREA_TOL`` are rejected by
-    :meth:`validate`.
+    range; :meth:`drop_degenerate_faces` removes faces whose area is at most
+    ``DEGENERATE_AREA_TOL``.
     """
 
     vertices: np.ndarray
@@ -65,14 +65,6 @@ class TriangleMesh:
 
     def surface_area(self):
         return float(self.face_areas().sum())
-
-    def validate(self, area_tol=DEGENERATE_AREA_TOL):
-        if self.n_faces == 0:
-            raise ValueError("mesh has no faces")
-        areas = self.face_areas()
-        if (areas <= area_tol).any():
-            bad = int(np.argmax(areas <= area_tol))
-            raise ValueError(f"degenerate face {bad} (area {areas[bad]:.3e})")
 
     def drop_degenerate_faces(self, area_tol=DEGENERATE_AREA_TOL):
         keep = self.face_areas() > area_tol

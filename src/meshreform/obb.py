@@ -43,10 +43,6 @@ class OrientedBox:
         a, b, c = self.extents
         return 2.0 * (a * b + b * c + a * c)
 
-    @property
-    def diagonal(self):
-        return float(np.linalg.norm(self.extents))
-
     def to_local(self, points):
         return (np.atleast_2d(points) - self.center) @ self.axes.T
 

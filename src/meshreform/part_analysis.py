@@ -84,8 +84,9 @@ def estimate_thickness(part: Part, samples: SurfaceSamples,
 
 
 def describe_part(part: Part, obb: OrientedBox, thickness: ThicknessEstimate,
-                  samples: Optional[SurfaceSamples] = None) -> PartDescriptor:
-    """Assemble the descriptor from precomputed OBB and thickness.
+                  barycenter) -> PartDescriptor:
+    """Assemble the descriptor from precomputed OBB, thickness and surface
+    barycenter.
 
     A part is linear when its OBB is elongated (largest extent at least
     ``ELONGATION_RATIO`` times the middle one) and nearly fills the box
@@ -102,7 +103,6 @@ def describe_part(part: Part, obb: OrientedBox, thickness: ThicknessEstimate,
         obb.center - obb.half_extents[0] * obb.axes[0],
         obb.center + obb.half_extents[0] * obb.axes[0],
     ])
-    bary = samples.barycenter() if samples is not None else part.mesh.vertices.mean(axis=0)
     return PartDescriptor(
         obb=obb,
         size_vec=extents.copy(),
@@ -113,7 +113,7 @@ def describe_part(part: Part, obb: OrientedBox, thickness: ThicknessEstimate,
         curvilinear=curvilinear,
         dominant_axis=obb.axes[0].copy(),
         segment=seg,
-        barycenter=np.asarray(bary, dtype=float),
+        barycenter=np.asarray(barycenter, dtype=float),
     )
 
 
@@ -122,4 +122,4 @@ def analyze_part(part: Part, samples: SurfaceSamples,
     """fit_obb + estimate_thickness + describe_part in one call."""
     obb = fit_obb(part)
     thick = estimate_thickness(part, samples, bin_width=bin_width, obb=obb)
-    return describe_part(part, obb, thick, samples)
+    return describe_part(part, obb, thick, samples.barycenter())

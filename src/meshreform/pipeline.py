@@ -20,11 +20,12 @@ from .codec import decode, encode
 from .database import (CANDIDATES_K, Database, DatabaseSource,
                        build_database, cluster_candidates, load_database)
 from .graphs import (CONTACT_SAMPLES, DEFAULT_CONTACT_DISTANCE, GROUND_ID,
-                     ContactGraph, annotate_contact_angles,
+                     ContactEdge, ContactGraph, annotate_contact_angles,
                      build_contact_graph, build_repetition_graph)
 from .mesh import (Material, Model, Part, TriangleMesh, load_model,
                    normalize_model, sample_surface, save_model)
-from .part_analysis import THICKNESS_BIN_WIDTH, analyze_part
+from .part_analysis import (THICKNESS_BIN_WIDTH, ThicknessEstimate,
+                            analyze_part, describe_part)
 from .similarity import orientation_angles
 
 logger = logging.getLogger(__name__)
@@ -212,27 +213,22 @@ class ReformedState:
 
 
 def reformed_state(analysis: ModelAnalysis, placed, targets, db: Database,
-                   cfg: PipelineConfig, restore_report=None) -> ReformedState:
-    """Move the query's contact points with the placed parts, keeping the
-    original topology, then recompute descriptors and angles on them."""
-    by_id = {p.part_id: p for p in placed}
-    graph = ContactGraph(nodes=list(by_id))
+                   cfg: PipelineConfig, restore_report) -> ReformedState:
+    """The query's contact graph on the restored parts: a contact point
+    becomes the midpoint of its two restored foot points, and a ground
+    point moves with its part."""
+    disp = restore_report.displacements
+    edges = []
     for e in analysis.contact_graph.edges:
-        cp = np.asarray(e.contact_point, dtype=float)
         if e.is_ground:
-            disp = by_id[e.i].displacement if e.i in by_id else 0.0
-            graph.edges.append(type(e)(e.i, GROUND_ID, cp + disp, None, True))
+            edges.append(ContactEdge(e.i, GROUND_ID, e.contact_point + disp[e.i],
+                                     None, True))
             continue
-        if restore_report is not None and e.key() in restore_report.foot_points:
-            pi, pj = restore_report.foot_points[e.key()]
-            cp = 0.5 * ((pi + restore_report.displacements[e.i])
-                        + (pj + restore_report.displacements[e.j]))
-        graph.edges.append(type(e)(e.i, e.j, cp))
-    # the refresh fills in the descriptors
-    moved = ReformedState(placed=by_id, descriptors={}, graph=graph,
-                          materials=dict(targets),
-                          repetition=analysis.repetition_graph)
-    return reformed_refresh(moved, db, cfg)
+        pi, pj = restore_report.foot_points[e.key()]
+        edges.append(ContactEdge(e.i, e.j,
+                                 0.5 * ((pi + disp[e.i]) + (pj + disp[e.j]))))
+    return _reformed({p.part_id: p for p in placed}, edges, dict(targets),
+                     analysis.repetition_graph, db, cfg)
 
 
 def optimize_angles(state: ReformedState, db: Database, cfg: PipelineConfig):
@@ -243,7 +239,7 @@ def optimize_angles(state: ReformedState, db: Database, cfg: PipelineConfig):
     parts = {}
     for pid, desc in state.descriptors.items():
         parts[pid] = config_opt.PartState(
-            id=pid, segment=desc.segment.copy(), thickness=desc.thickness,
+            segment=desc.segment.copy(), thickness=desc.thickness,
             material=state.materials[pid],
             box=None if desc.is_linear else desc.obb)
     constraints = config_opt.assess_angle_feasibility(state.graph, parts, db)
@@ -264,8 +260,8 @@ def optimize_angles(state: ReformedState, db: Database, cfg: PipelineConfig):
 
 def apply_configuration(state: ReformedState, configuration, db,
                         cfg: PipelineConfig) -> ReformedState:
-    """Re-pose moved parts onto their optimized segments, drop the
-    configuration's broken contacts, and refresh descriptors and angles."""
+    """Re-pose moved parts onto their optimized segments and drop the
+    configuration's broken contacts. ``state`` is left as it was."""
     if configuration is None or not configuration.moved_parts:
         return state
     placed = dict(state.placed)
@@ -274,17 +270,30 @@ def apply_configuration(state: ReformedState, configuration, db,
                                                  configuration.segments[pid])
     dropped = {tuple(e) for e in configuration.dropped_edges}
     dropped_ground = set(configuration.dropped_ground)
-    graph = ContactGraph(nodes=state.graph.nodes)
-    for e in state.graph.edges:
-        if e.is_ground and e.i in dropped_ground:
-            continue
-        if not e.is_ground and e.key() in dropped:
-            continue
-        graph.edges.append(e)
-    moved = ReformedState(placed=placed, descriptors=state.descriptors,
-                          graph=graph, materials=state.materials,
-                          repetition=state.repetition)
-    return reformed_refresh(moved, db, cfg)
+    edges = [ContactEdge(e.i, e.j, e.contact_point, None, e.is_ground)
+             for e in state.graph.edges
+             if not (e.i in dropped_ground if e.is_ground else e.key() in dropped)]
+    return _reformed(placed, edges, state.materials, state.repetition, db, cfg)
+
+
+def _reformed(placed: dict, edges, materials, repetition, db,
+              cfg: PipelineConfig) -> ReformedState:
+    """The reformed model on ``placed``. Each part's placed mesh gives its
+    descriptor, on its placed box with the source's thickness and
+    transformed barycenter (no re-fitting or ray casting), and its surface
+    samples; the contact angles of ``edges`` are measured on them."""
+    descriptors, samples = {}, {}
+    for pid, p in placed.items():
+        part = Part(id=pid, mesh=p.placed_mesh(db))
+        src = db.part(p.source_index).descriptor
+        thickness = ThicknessEstimate(src.thickness, src.thickness_fallback, 0.0)
+        descriptors[pid] = describe_part(part, p.box, thickness,
+                                         p.transform_points(src.barycenter)[0])
+        samples[pid] = sample_surface(part, SURFACE_SAMPLES, seed=cfg.seed)
+    graph = ContactGraph(nodes=list(placed), edges=edges)
+    annotate_contact_angles(graph, descriptors, samples)
+    return ReformedState(placed=placed, descriptors=descriptors, graph=graph,
+                         materials=materials, repetition=repetition)
 
 
 def _query_contacts(state: ReformedState):
@@ -470,24 +479,6 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
     summary["total_seconds"] = time.perf_counter() - t_all
     _dump(out_dir, "summary.json", summary)
     return summary
-
-
-def reformed_refresh(state: ReformedState, db, cfg) -> ReformedState:
-    """Recompute descriptors and contact angles after re-posing."""
-    descriptors = {pid: p.placed_descriptor(db) for pid, p in state.placed.items()}
-    samples = {pid: p.placed_samples(db, n=SURFACE_SAMPLES, seed=cfg.seed)
-               for pid, p in state.placed.items()}
-    graph = ContactGraph(nodes=state.graph.nodes)
-    for e in state.graph.edges:
-        if e.is_ground:
-            graph.edges.append(e)
-            continue
-        graph.edges.append(type(e)(e.i, e.j,
-                                   np.asarray(e.contact_point, dtype=float)))
-    annotate_contact_angles(graph, descriptors, samples)
-    return ReformedState(placed=state.placed, descriptors=descriptors,
-                         graph=graph, materials=state.materials,
-                         repetition=state.repetition)
 
 
 def _scale_mesh_in_box(mesh: TriangleMesh, box, scales) -> TriangleMesh:

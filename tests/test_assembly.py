@@ -49,10 +49,12 @@ def test_identity_replacement_identity_pose():
     assert np.allclose(np.sort(mapped, axis=0),
                        np.sort(descs[0].obb.corners(), axis=0), atol=1e-6)
     # pose maps the replacement OBB exactly onto the query OBB
-    box = placed.placed_box()
+    box = placed.box
     assert np.allclose(box.center, descs[0].obb.center, atol=1e-9)
     assert np.allclose(np.abs(box.axes @ descs[0].obb.axes.T), np.eye(3), atol=1e-6)
-    assert placed.scale == pytest.approx(1.0, abs=1e-6)
+    # the pose stretches the source's dominant axis by 1
+    r_axis = db.part(placed.source_index).descriptor.obb.axes[0]
+    assert np.linalg.norm(placed.linear @ r_axis) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_dominant_scale_rule():
@@ -61,8 +63,9 @@ def test_dominant_scale_rule():
     placed = place(descs, {0: db.candidates[0]}, db, samples)[0]
     r = db.part(placed.source_index).descriptor
     expected = descs[0].obb.half_extents[0] / r.obb.half_extents[0]
-    assert placed.scale == pytest.approx(expected, rel=1e-9)
-    box = placed.placed_box()
+    assert np.linalg.norm(placed.linear @ r.obb.axes[0]) == pytest.approx(expected,
+                                                                          rel=1e-9)
+    box = placed.box
     # dominant extent matches the query part, cross extents stay the source's
     assert box.half_extents[0] == pytest.approx(descs[0].obb.half_extents[0], abs=1e-9)
     assert box.half_extents[1] == pytest.approx(r.obb.half_extents[1], abs=1e-9)
@@ -110,7 +113,7 @@ def test_curved_tube_lands_on_rod_endpoints():
     q = descs[0]
     q_ends = np.stack([q.obb.center - q.obb.half_extents[0] * q.obb.axes[0],
                        q.obb.center + q.obb.half_extents[0] * q.obb.axes[0]])
-    box = placed.placed_box()
+    box = placed.box
     p_ends = np.stack([box.center - box.half_extents[0] * box.axes[0],
                        box.center + box.half_extents[0] * box.axes[0]])
     d_direct = np.linalg.norm(q_ends - p_ends, axis=1).max()
@@ -323,10 +326,10 @@ def test_repose_maps_segment_endpoints():
     db = mini_db([[1.0, 0.1, 0.1]])
     _, samples, descs = analyzed_model([make_box_part(0, [0, 0, 0], [1.0, 0.1, 0.1])])
     placed = place(descs, {0: db.candidates[0]}, db, samples)[0]
-    box = placed.placed_box()
+    box = placed.box
     new_seg = np.array([[0.1, 0.2, 0.0], [0.1, 0.2, 0.8]])
     out = repose_to_segment(placed, new_seg)
-    nb = out.placed_box()
+    nb = out.box
     ends = np.stack([nb.center - nb.half_extents[0] * nb.axes[0],
                      nb.center + nb.half_extents[0] * nb.axes[0]])
     d1 = np.linalg.norm(ends - new_seg, axis=1).max()

@@ -52,6 +52,27 @@ def test_build_db_matches_gen_db(corpus, tmp_path):
     assert len(a["parts"]) == len(b["parts"])
 
 
+def test_gen_db_takes_the_config_seed(tmp_path):
+    """Without --seed, gen-db seeds the corpus and the database from the
+    config, as --seed does."""
+    small = ["--chairs", "1", "--tables", "1", "--beds", "1", "--cabinets", "1",
+             "--scale", "1"]
+    base = {"contact_samples": 1000, "candidates_k": 10}
+    for name, cfg, seed in (("config", {**base, "seed": 5}, []),
+                            ("flag", base, ["--seed", "5"])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["gen-db", "--out", str(tmp_path / name), "--db",
+                   str(tmp_path / name / "db.json"), "--config", str(path),
+                   *small, *seed])
+        assert rc == EXIT_OK
+    files = sorted(os.listdir(tmp_path / "flag"))
+    assert "db.json" in files and sorted(os.listdir(tmp_path / "config")) == files
+    for f in files:
+        assert (tmp_path / "config" / f).read_bytes() == \
+            (tmp_path / "flag" / f).read_bytes(), f
+
+
 def test_validate_db(corpus, capsys):
     rc = main(["validate", "--db", corpus["db"], "--model", corpus["query"]])
     assert rc == EXIT_OK
@@ -187,6 +208,10 @@ def _tamper_bins(doc):
     doc["histograms"]["wood"]["bins"].pop()
 
 
+def _tamper_mesh(doc):
+    doc["parts"][doc["candidates"][0]]["mesh"] = None
+
+
 @pytest.mark.parametrize("tamper, named", [
     (_tamper_candidate, "candidates[0]: 999 is not a part index"),
     (_tamper_contact, "contacts[0].u: 999 is not a part index"),
@@ -194,7 +219,9 @@ def _tamper_bins(doc):
     (_tamper_barycenter, "parts[0].descriptor: barycenter must be (3,)"),
     (_tamper_orientation, "contacts[0]: orientation_vec must be (9,)"),
     (_tamper_bins, "histograms.wood: bins must be (18,)"),
-], ids=["candidate", "contact", "segment", "barycenter", "orientation", "bins"])
+    (_tamper_mesh, "candidates[0]: no mesh for part"),
+], ids=["candidate", "contact", "segment", "barycenter", "orientation", "bins",
+        "mesh"])
 @pytest.mark.parametrize("command", ["pipeline", "validate"])
 def test_db_with_bad_reference_or_shape_is_input_error(corpus, tmp_path, capsys,
                                                        tamper, named, command):

@@ -32,8 +32,8 @@ def seg(a, b):
     return np.array([a, b], dtype=float)
 
 
-def state(pid, a, b, thickness=0.02, material=Material.WOOD):
-    return PartState(id=pid, segment=seg(a, b), thickness=thickness,
+def state(a, b, thickness=0.02, material=Material.WOOD):
+    return PartState(segment=seg(a, b), thickness=thickness,
                      material=material)
 
 
@@ -42,7 +42,7 @@ def edge(i, j, cp, angle=None):
 
 
 def linear_parts(materials):
-    return {pid: state(pid, [0, 0, 0], [1, 0, 0], material=m)
+    return {pid: state([0, 0, 0], [1, 0, 0], material=m)
             for pid, m in materials.items()}
 
 
@@ -90,9 +90,9 @@ def test_curvilinear_edges_never_constrained(small_db):
 def cross_fixture():
     """Vertical host with ground support, movable bar resting on it."""
     parts = {
-        0: state(0, [0, 0, 0], [0, 0, 1]),                  # host post
-        1: state(1, [-0.5, 0.02, 0.5], [0.5, 0.02, 0.9]),   # slanted bar
-        2: state(2, [0, -0.6, 0], [0, 0.6, 0]),             # base rail
+        0: state([0, 0, 0], [0, 0, 1]),                  # host post
+        1: state([-0.5, 0.02, 0.5], [0.5, 0.02, 0.9]),   # slanted bar
+        2: state([0, -0.6, 0], [0, 0.6, 0]),             # base rail
     }
     graph = ContactGraph(nodes=[0, 1, 2], edges=[
         edge(0, 1, [0, 0.01, 0.7], angle=55.0),
@@ -134,9 +134,9 @@ def test_symmetric_partner_without_problem_fixes_part():
     both of its ends have contacts."""
     from meshreform.graphs import RepetitionGraph
     parts = {
-        0: state(0, [0, 0, 0], [0, 0, 1]),
-        1: state(1, [1, 0, 0], [1, 0, 1]),
-        2: state(2, [-0.5, 0, 1], [1.5, 0, 1]),
+        0: state([0, 0, 0], [0, 0, 1]),
+        1: state([1, 0, 0], [1, 0, 1]),
+        2: state([-0.5, 0, 1], [1.5, 0, 1]),
     }
     graph = ContactGraph(nodes=[0, 1, 2], edges=[
         edge(0, 2, [0, 0, 1], angle=55.0),
@@ -164,9 +164,9 @@ def test_hosts_must_stay_static():
 
 def test_two_ends_not_on_contacting_hosts():
     parts = {
-        0: state(0, [-0.5, 0, 0.5], [0.5, 0, 0.5]),
-        1: state(1, [-0.5, 0, 0], [-0.5, 0, 1]),
-        2: state(2, [0.5, 0, 0], [0.5, 0, 1]),
+        0: state([-0.5, 0, 0.5], [0.5, 0, 0.5]),
+        1: state([-0.5, 0, 0], [-0.5, 0, 1]),
+        2: state([0.5, 0, 0], [0.5, 0, 1]),
     }
     graph = ContactGraph(nodes=[0, 1, 2], edges=[
         edge(0, 1, [-0.5, 0, 0.5], angle=50.0),
@@ -191,8 +191,8 @@ def test_enumeration_cap():
     for k in range(6):
         a, b = 2 * k, 2 * k + 1
         z = 0.1 * k
-        parts[a] = state(a, [0, k, z], [1, k, z])
-        parts[b] = state(b, [0.5, k - 0.4, z], [0.5, k + 0.4, z])
+        parts[a] = state([0, k, z], [1, k, z])
+        parts[b] = state([0.5, k - 0.4, z], [0.5, k + 0.4, z])
         graph_edges.append(edge(a, b, [0.5, k, z], angle=50.0))
         graph_edges.append(ContactEdge(a, GROUND_ID, np.array([0.0, k, z]), None, True))
         graph_edges.append(ContactEdge(b, GROUND_ID, np.array([0.5, k - 0.4, z]), None, True))
@@ -269,7 +269,7 @@ def random_constraint_graph(rng):
     middles, random ground contacts, 1-6 constrained edges and a random
     fixed set."""
     n = int(rng.integers(3, 9))
-    parts = {pid: state(pid, a, a + rng.normal(size=3))
+    parts = {pid: state(a, a + rng.normal(size=3))
              for pid, a in enumerate(rng.normal(size=(n, 3)))}
     pairs = list(itertools.combinations(range(n), 2))
     picked = rng.choice(len(pairs), size=int(rng.integers(1, len(pairs) + 1)),
@@ -332,8 +332,8 @@ def rotation_fixture(theta0=60.0, target=90.0):
     the bar's elevation is exactly the contact angle."""
     th = math.radians(theta0)
     parts = {
-        0: state(0, [-1, 0, 0], [1, 0, 0]),                         # host
-        1: state(1, [0, 0, 0], [math.cos(th), 0, math.sin(th)]),    # bar
+        0: state([-1, 0, 0], [1, 0, 0]),                         # host
+        1: state([0, 0, 0], [math.cos(th), 0, math.sin(th)]),    # bar
     }
     graph = ContactGraph(nodes=[0, 1], edges=[
         edge(0, 1, [0, 0, 0], angle=theta0),
@@ -390,14 +390,14 @@ def test_gradients_match_finite_differences():
             for h in range(n_hosts):
                 a = rng.normal(size=3)
                 b = a + rng.normal(size=3)
-                parts[h] = state(h, a, b)
+                parts[h] = state(a, b)
             movers = [n_hosts, n_hosts + 1]
             binds = []
             cons = []
             for m in movers:
                 a = rng.normal(size=3)
                 b = a + rng.normal(size=3) * 1.5
-                parts[m] = state(m, a, b)
+                parts[m] = state(a, b)
                 host = int(rng.integers(0, n_hosts))
                 e = (min(m, host), max(m, host))
                 cp = parts[m].segment[rng.integers(0, 2)].copy()
@@ -562,12 +562,12 @@ def random_objective_case(rng, parallel, zero_length):
     ends onto hosts 0 and 1 (ids 5, 6: a repulsion pair). With ``parallel``
     host 0 runs along z and the caller turns the rotating part onto z; with
     ``zero_length`` host 2 is a point and is constrained against a mover."""
-    parts = {h: state(h, p, p + rng.normal(size=3))
+    parts = {h: state(p, p + rng.normal(size=3))
              for h, p in enumerate(rng.normal(size=(3, 3)))}
     if parallel:
-        parts[0] = state(0, [0, 0, 0], [0, 0, 1.5])
+        parts[0] = state([0, 0, 0], [0, 0, 1.5])
     if zero_length:
-        parts[2] = state(2, parts[2].segment[0], parts[2].segment[0])
+        parts[2] = state(parts[2].segment[0], parts[2].segment[0])
     binds, cons = [], []
 
     def constrain(host, m):
@@ -579,7 +579,7 @@ def random_objective_case(rng, parallel, zero_length):
         present[1] = True
     if present[0]:
         a = rng.normal(size=3)
-        parts[3] = state(3, a, a + rng.normal(size=3))
+        parts[3] = state(a, a + rng.normal(size=3))
         s0 = float(rng.uniform(0.1, 0.9))
         binds.append(Bind(part=3, end=0, kind="rotate", edge=(0, 3), host=0,
                           pivot=on_segment(parts[3], s0), pivot_param=s0))
@@ -587,14 +587,14 @@ def random_objective_case(rng, parallel, zero_length):
         constrain(1, 3)
     if present[1]:
         a = on_segment(parts[1], rng.uniform(0.2, 0.8))
-        parts[4] = state(4, a, a + rng.normal(size=3))
+        parts[4] = state(a, a + rng.normal(size=3))
         binds.append(Bind(part=4, end=0, kind="slide", edge=(1, 4), host=1))
         constrain(1, 4)
     if present[2]:
         at = rng.uniform(0.2, 0.8, size=2)
         for m in (5, 6):
             t = at + rng.normal(scale=0.02, size=2)
-            parts[m] = state(m, on_segment(parts[0], t[0]), on_segment(parts[1], t[1]))
+            parts[m] = state(on_segment(parts[0], t[0]), on_segment(parts[1], t[1]))
             for end, host in ((0, 0), (1, 1)):
                 binds.append(Bind(part=m, end=end, kind="slide", edge=(host, m),
                                   host=host))
@@ -639,10 +639,10 @@ def test_repulsion_keeps_sliders_apart():
     """Two rungs sliding on the same two rails; oracle is a dense grid over
     the two symmetric slide positions."""
     parts = {
-        0: state(0, [0, 0, 0], [1, 0, 0]),                  # rail u
-        1: state(1, [0, 1, 0], [1, 1, 0]),                  # rail v
-        2: state(2, [0.48, 0, 0.02], [0.48, 1, 0.02]),      # rung m
-        3: state(3, [0.52, 0, 0.02], [0.52, 1, 0.02]),      # rung n
+        0: state([0, 0, 0], [1, 0, 0]),                  # rail u
+        1: state([0, 1, 0], [1, 1, 0]),                  # rail v
+        2: state([0.48, 0, 0.02], [0.48, 1, 0.02]),      # rung m
+        3: state([0.52, 0, 0.02], [0.52, 1, 0.02]),      # rung n
     }
     graph = ContactGraph(nodes=[0, 1, 2, 3], edges=[
         edge(0, 2, [0.48, 0, 0.01], angle=90.0),
@@ -852,14 +852,14 @@ def four_rail_fixture():
     bar_a = np.array([0.0, 0.0, 0.0])
     bar_b = np.array([0.9, 0.9, 0.9])
     u = (bar_b - bar_a) / np.linalg.norm(bar_b - bar_a)
-    parts = {0: state(0, bar_a, bar_b, thickness=0.02)}
+    parts = {0: state(bar_a, bar_b, thickness=0.02)}
     graph_edges = []
     cons = []
     for k, (t, phi) in enumerate(zip((0.1, 0.35, 0.65, 0.9),
                                      (0.0, 25.0, -25.0, 50.0)), start=1):
         p = bar_a + t * (bar_b - bar_a)
         d = np.array([math.cos(math.radians(phi)), math.sin(math.radians(phi)), 0.0])
-        parts[k] = state(k, p - 0.6 * d, p + 0.6 * d, thickness=0.02)
+        parts[k] = state(p - 0.6 * d, p + 0.6 * d, thickness=0.02)
         ang = math.degrees(math.acos(abs(float(u @ d))))
         graph_edges.append(edge(0, k, p, angle=ang))
         cons.append(AngleConstraint((0, k), ang, 87.5, 0.0))

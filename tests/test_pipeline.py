@@ -3,15 +3,22 @@ import glob
 import json
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from meshreform import assembly
+from meshreform.codec import encode
+from meshreform.config_opt import Configuration
 from meshreform.database import save_database
-from meshreform.mesh import load_model, save_model
+from meshreform.mesh import Material, Model, load_model, save_model
 from meshreform.pipeline import (PipelineConfig, StageError, analyze_model,
-                                 read_sources, run_pipeline, write_sources)
-from meshreform.synthetic import GeneratorConfig, metal_chair, wood_chair
+                                 apply_configuration, read_sources,
+                                 reform_assignment, reformed_state,
+                                 run_pipeline, write_sources)
+from meshreform.synthetic import (GeneratorConfig, metal_chair, mixed_table,
+                                  wood_chair)
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +178,82 @@ def test_config_value_of_wrong_type_is_rejected(bad):
 
 def test_config_float_field_accepts_int():
     assert PipelineConfig.from_json({"d_c": 1, "seed": 2}).d_c == 1
+
+
+# ---------------------------------------------------------------------------
+# the reformed model handed to the angle stage
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def restored(small_db):
+    """A mixed table reformed to wood: its analysis, the posed parts before
+    and after contact restoration, the report and the reformed state."""
+    cfg = PipelineConfig(contact_samples=3000)
+    parts = mixed_table(np.random.default_rng(1), GeneratorConfig()).parts
+    analysis = analyze_model(Model(parts=parts), cfg)
+    targets = {pid: Material.WOOD for pid in analysis.descriptors}
+    assignment = reform_assignment(analysis, targets, small_db, cfg)
+    posed = assembly.place_replacements(analysis.descriptors, assignment, small_db,
+                                        analysis.samples, seed=cfg.seed)
+    placed, report = assembly.restore_contacts(posed, analysis.contact_graph,
+                                               small_db, seed=cfg.seed)
+    state = reformed_state(analysis, placed, targets, small_db, cfg,
+                           restore_report=report)
+    return SimpleNamespace(analysis=analysis, posed=posed, report=report,
+                           state=state, cfg=cfg)
+
+
+def test_restoration_translates_each_pose(restored):
+    disp = restored.report.displacements
+    assert max(np.abs(d).max() for d in disp.values()) > 1e-4
+    for before in restored.posed:
+        after = restored.state.placed[before.part_id]
+        d = disp[before.part_id]
+        assert np.array_equal(after.linear, before.linear)
+        assert np.allclose(after.offset, before.offset + d, rtol=0, atol=1e-12)
+        assert np.allclose(after.box.center, before.box.center + d, rtol=0, atol=1e-12)
+
+
+def test_reformed_contacts_move_with_their_parts(restored):
+    disp = restored.report.displacements
+    original = restored.analysis.contact_graph.edges
+    edges = restored.state.graph.edges
+    assert [(e.key(), e.is_ground) for e in edges] == \
+        [(e.key(), e.is_ground) for e in original]
+    for old, new in zip(original, edges):
+        if new.is_ground:
+            want = old.contact_point + disp[new.i]
+        else:
+            pi, pj = restored.report.foot_points[new.key()]
+            want = 0.5 * ((pi + disp[new.i]) + (pj + disp[new.j]))
+        assert np.allclose(new.contact_point, want, rtol=0, atol=1e-12)
+
+
+def test_apply_configuration_drops_and_reposes_only_what_it_names(restored, small_db):
+    state = restored.state
+    part_edges = state.graph.part_edges()
+    grounded = sorted({e.i for e in state.graph.ground_edges()})
+    moved = part_edges[0].i
+    # turned as well as shifted, so that its contact angles change
+    segment = state.descriptors[moved].segment + np.array([[0.0, 0.0, 0.05],
+                                                           [0.05, 0.05, 0.05]])
+    conf = Configuration(
+        index=0, segments={moved: segment}, objective=0.0, opt_value=0.0,
+        converged=True, dropped_edges=[part_edges[-1].key()], new_contacts=[],
+        kept_edges=[], feasibility_report=[], moved_parts=[moved],
+        no_hanging_ok=True, dropped_ground=[grounded[0]])
+    before = encode([state.graph, state.placed])
+    out = apply_configuration(state, conf, small_db, restored.cfg)
+
+    assert encode([state.graph, state.placed]) == before
+    assert [(e.key(), e.is_ground) for e in out.graph.edges] == [
+        (e.key(), e.is_ground) for e in state.graph.edges
+        if not (e.key() == part_edges[-1].key()
+                or (e.is_ground and e.i == grounded[0]))]
+    assert [pid for pid in out.placed if out.placed[pid] is not state.placed[pid]] \
+        == [moved]
+    assert np.allclose(out.descriptors[moved].segment, segment, rtol=0, atol=1e-12)
+    for pid in out.placed:
+        if pid != moved:
+            assert np.array_equal(out.descriptors[pid].segment,
+                                  state.descriptors[pid].segment)

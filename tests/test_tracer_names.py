@@ -34,3 +34,15 @@ def test_tracer_names_resolve_to_public_functions():
                 or fn.__module__ != module.__name__:
             missing.add(name)
     assert missing == MISSING
+
+
+def test_stage_writer_resolves_to_a_pipeline_function():
+    """The test above skips private names. The stage writer is one: the
+    traced runs' stage spans end at its calls, and they are checked against
+    summary.json."""
+    tracer = load_tracer()
+    short, attr = tracer.STAGE_WRITER.split(".")
+    assert short == "pipeline"
+    module = importlib.import_module("meshreform.pipeline")
+    fn = getattr(module, attr, None)
+    assert inspect.isfunction(fn) and fn.__module__ == module.__name__
