@@ -389,7 +389,8 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
         })
         summary["stages"][stage] = {"seconds": time.perf_counter() - t0,
                                     "log_potential": assignment.log_potential,
-                                    "converged": assignment.converged}
+                                    "converged": assignment.converged,
+                                    "iterations": assignment.iterations}
 
         stage = "restore"
         t0 = time.perf_counter()

@@ -6,11 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshreform import config_opt, synthetic
 from meshreform.config_opt import (ANGLE_WEIGHT_LENGTH, ANGLE_WEIGHT_REPULSE,
                                    REPULSE_SIGMA, TIE_TOL, AngleConstraint, Bind,
-                                   ConstraintSet, PartState,
+                                   Configuration, ConstraintSet, PartState,
                                    all_rigid_configuration,
                                    assess_angle_feasibility,
                                    determine_fixed_parts,
@@ -202,6 +204,25 @@ def test_enumeration_cap():
     assert len(sets) == 100
 
 
+def test_truncation_warned_only_when_a_set_is_left_out(caplog):
+    """Two grounded bars with one constrained contact have four sets (each
+    bar slides or rotates); a cap of four keeps them all."""
+    parts = {0: state([0, 0, 0], [1, 0, 0]), 1: state([0.5, 0, 0], [0.5, 0.5, 0.5])}
+    graph = ContactGraph(nodes=[0, 1], edges=[
+        edge(0, 1, [0.5, 0, 0], angle=45.0),
+        ContactEdge(0, GROUND_ID, np.zeros(3), None, True),
+        ContactEdge(1, GROUND_ID, np.array([0.5, 0, 0]), None, True),
+    ])
+    constraints = [AngleConstraint((0, 1), 45.0, 87.5, 0.0)]
+    for cap, truncated in ((4, False), (3, True)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="meshreform.config_opt"):
+            sets = enumerate_configurations(constraints, graph, parts, fixed=set(),
+                                            cap=cap)
+        assert len(sets) == cap
+        assert ("truncated" in caplog.text) == truncated
+
+
 def reference_enumeration(constraints, graph, parts, fixed, cap):
     """Every combination of per-edge options from the full product, each
     combination's binds rebuilt and then filtered by the validity rules."""
@@ -256,11 +277,11 @@ def reference_enumeration(constraints, graph, parts, fixed, cap):
                 break
         if not ok:
             continue
-        out.append(ConstraintSet(index=len(out), options=dict(zip(edges, combo)),
-                                 binds=binds, moving=moving))
-        if len(out) >= cap:
+        if len(out) == cap:
             truncated = True
             break
+        out.append(ConstraintSet(index=len(out), options=dict(zip(edges, combo)),
+                                 binds=binds, moving=moving))
     return out, truncated
 
 
@@ -791,6 +812,10 @@ def bound_runs(small_db):
     return runs
 
 
+def drops(c):
+    return len(c.dropped_edges) + len(c.dropped_ground)
+
+
 @pytest.mark.parametrize("case", sorted(BOUND_CASES))
 def test_bound_order_selects_as_full_solve(bound_runs, case):
     run = bound_runs[case]
@@ -805,11 +830,16 @@ def test_bound_order_selects_as_full_solve(bound_runs, case):
     assert got.dropped_ground == want.dropped_ground
     assert got.segments.keys() == want.segments.keys()
     assert all(np.array_equal(got.segments[p], want.segments[p]) for p in want.segments)
-    # every selection tie of the full solve was solved, with the same result
-    tol = want.objective + TIE_TOL * max(1.0, abs(want.objective))
+    # every selection tie of the full solve left unsolved loses the
+    # tie-break to the selection: more dropped contacts, or as many and a
+    # larger index
+    supported = [c for c in [run.unmoved] + run.full if c.no_hanging_ok]
+    low = min(c.objective for c in supported)
+    tol = low + TIE_TOL * max(1.0, abs(low))
     solved = {c.index: c for c in run.solved}
-    assert {c.index for c in run.full if c.no_hanging_ok and c.objective <= tol} \
-        <= set(solved)
+    for c in supported:
+        if c.objective <= tol and c.index not in solved and c.index != -1:
+            assert (drops(c), c.index) > (drops(want), want.index)
     for k, c in solved.items():
         assert (c.objective, c.opt_value, c.no_hanging_ok) == \
             (run.full[k].objective, run.full[k].opt_value, run.full[k].no_hanging_ok)
@@ -825,10 +855,71 @@ def test_lower_bound_never_exceeds_objective(bound_runs):
 
 
 def test_bound_order_skips_sets_on_mixed_table(bound_runs):
-    """A silent fall-back to solving every set fails here."""
+    """A silent fall-back to solving every set fails here, and so does one
+    to the walk that stops at the bound alone."""
     run = bound_runs["mixed_table"]
     assert 0 < len(run.solved) < run.n_sets
     assert [c.index for c in run.solved] == sorted(c.index for c in run.solved)
+    best, bound_only = run.unmoved.objective, 0
+    for bound, cset in sorted(((objective_lower_bound(s, run.unmoved), s) for s in run.sets),
+                              key=lambda pair: (pair[0], pair[1].index)):
+        if bound > best + TIE_TOL * max(1.0, abs(best)):
+            break
+        bound_only += 1
+        if run.full[cset.index].no_hanging_ok:
+            best = min(best, run.full[cset.index].objective)
+    assert len(run.solved) < bound_only
+
+
+@st.composite
+def drawn_walks(draw):
+    """An unmoved objective and per set (bound, objective, dropped edges and
+    ground contacts, supported). Values lie on a grid of half tie windows
+    above a drawn base, so many sit inside, exactly at the edge of, or just
+    past each other's tie window; the unmoved objective is on the grid or
+    well above it."""
+    base = draw(st.sampled_from([0.0, 1.0, 1e3]))
+    half = TIE_TOL * max(1.0, base) / 2
+    value = st.integers(0, 4).map(lambda k: base + k * half)
+    unmoved = draw(st.one_of(value, st.just(base + 1.0)))
+    sets = draw(st.lists(st.tuples(
+        value, value, st.sampled_from([(0, 0), (0, 0), (1, 0), (0, 1), (2, 0)]),
+        st.sampled_from([True, True, True, False])), min_size=1, max_size=12))
+    return unmoved, [(min(a, b), max(a, b), dropped, supported)
+                     for a, b, dropped, supported in sets]
+
+
+def drawn_configuration(index, objective, dropped, supported):
+    n_edges, n_ground = dropped
+    return Configuration(index=index, segments={}, objective=objective,
+                         opt_value=objective, converged=True,
+                         dropped_edges=[(0, k) for k in range(n_edges)],
+                         new_contacts=[], kept_edges=[], feasibility_report=[],
+                         moved_parts=[], no_hanging_ok=supported,
+                         dropped_ground=list(range(n_ground)))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(walk=drawn_walks())
+def test_bound_order_selection_on_drawn_objectives(walk):
+    """With drawn bounds, objectives (each at least its bound), dropped
+    counts and support, the walk selects what solving every set selects."""
+    unmoved_objective, drawn = walk
+    unmoved = drawn_configuration(-1, unmoved_objective, (0, 0), True)
+    sets = [ConstraintSet(index=k, options={}, binds=[], moving=set())
+            for k in range(len(drawn))]
+    bounds = {k: bound for k, (bound, *_) in enumerate(drawn)}
+    full = [drawn_configuration(k, objective, dropped, supported)
+            for k, (_, objective, dropped, supported) in enumerate(drawn)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(config_opt, "objective_lower_bound",
+                   lambda cset, unmoved: bounds[cset.index])
+        mp.setattr(config_opt, "optimize_configuration",
+                   lambda cset, *args, **kwargs: full[cset.index])
+        solved = config_opt.solve_in_bound_order(sets, [], {}, None, unmoved)
+    assert [c.index for c in solved] == sorted({c.index for c in solved})
+    assert select_best_configuration([unmoved] + solved) is \
+        select_best_configuration([unmoved] + full)
 
 
 def test_segment_distance_cases():

@@ -54,6 +54,16 @@ def test_full_pipeline_to_metal(query_paths, small_db, tmp_path):
     assert len(reformed.parts) == len(spec["parts"])
 
 
+def test_summary_reports_bp_iterations(query_paths, small_db, tmp_path):
+    cfg = PipelineConfig(contact_samples=3000, target_materials="all=wood")
+    summary = run_pipeline(query_paths[1], None, cfg, tmp_path, db=small_db)
+    assignment = json.loads((tmp_path / "03_assignment.json").read_text())
+    reform = summary["stages"]["reform"]
+    assert reform["iterations"] == assignment["iterations"] >= 1
+    assert reform["converged"] == assignment["converged"]
+    assert json.loads((tmp_path / "summary.json").read_text())["stages"]["reform"] == reform
+
+
 def test_pipeline_self_reform_preserves_node_count(query_paths, small_db, tmp_path):
     cfg = PipelineConfig(contact_samples=3000, target_materials="suggest")
     run_pipeline(query_paths[0], None, cfg, tmp_path, db=small_db)
