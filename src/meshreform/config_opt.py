@@ -16,15 +16,14 @@ first bound above the best supported objective's tie threshold, or once the
 selection so far drops no contact, ties the smaller of that objective and
 the next bound, and has a smaller index than every set left that could
 tie: under the tie-break "fewest dropped, then index" no set left can then
-change the selection. The bound is exact because those edges are always
-kept with their original segments, so it sums a subset of the objective's
-nonnegative terms in the same order. A change to the selection objective
-must keep it a sum of nonnegative per-edge terms that includes every
-constrained edge without a moving endpoint, or the bound no longer holds;
-a change to the tie-break must re-prove the second stop or remove it. On
-the benchmark's reform-to-wood requests (seeds 1-2, rounds 0-11) the walk
-solves 1023 of the 5094 enumerated sets (2070 with the first stop
-alone).
+change the selection. A change to the tie-break must re-prove the second
+stop or remove it. On the benchmark's reform-to-wood requests (seeds 1-2,
+rounds 0-11) the walk solves 1023 of the 5094 enumerated sets (2070 with
+the first stop alone).
+
+Each configuration keeps its squared angle error per constrained edge;
+``_score`` sums them into the objective and the bound, and proves the
+bound. The feasibility report is built once, for the selection only.
 """
 
 import itertools
@@ -100,13 +99,12 @@ class ConstraintSet:
 class Configuration:
     index: int
     segments: dict               # part id -> (2, 3) final segment
-    objective: float             # selection objective: sum of kept-edge angle errors^2
+    errors: dict                 # constrained edge -> squared angle error, sorted edges
+    objective: float             # selection objective: _score(errors, dropped_edges)
     opt_value: float             # optimizer objective at the solution
     converged: bool
     dropped_edges: list
     new_contacts: list
-    kept_edges: list
-    feasibility_report: list     # dicts: edge, angle, target, feasibility
     moved_parts: list
     no_hanging_ok: bool
     dropped_ground: list = field(default_factory=list)
@@ -472,17 +470,18 @@ def _point_box_distance(points, box):
     return np.sqrt((outside * outside).sum(axis=1))
 
 
-def _pair_distance(parts, segments, i, j, moving):
+def _pair_distance(parts, segments, i, j):
     """Distance between two parts' stand-ins plus a contact location, for a
     pair of which at least one part moves.
 
-    Moving parts are their (current) segments; static parts use their box
-    surface when one is attached, which keeps rod-to-board contacts honest.
-    Returns (distance, contact_point, radius_sum) where radius_sum is the
-    surface allowance for the segment-only sides.
+    Parts are their (current) segments; a part with a box (never a mover:
+    only edges between two box-less parts are constrained) uses the box
+    surface, which keeps rod-to-board contacts honest. Returns (distance,
+    contact_point, radius_sum) where radius_sum is the surface allowance for
+    the segment-only sides.
     """
-    use_box_i = parts[i].box is not None and i not in moving
-    use_box_j = parts[j].box is not None and j not in moving
+    use_box_i = parts[i].box is not None
+    use_box_j = parts[j].box is not None
     si, sj = segments[i], segments[j]
     if use_box_i and not use_box_j:
         ts = np.linspace(0.0, 1.0, BOX_CONTACT_SAMPLES)
@@ -491,20 +490,20 @@ def _pair_distance(parts, segments, i, j, moving):
         k = int(np.argmin(d))
         return float(d[k]), pts[k], 0.5 * parts[j].thickness
     if use_box_j and not use_box_i:
-        return _pair_distance(parts, segments, j, i, moving)
+        return _pair_distance(parts, segments, j, i)
     d, cp, cq = segment_distance(si[0], si[1], sj[0], sj[1])
     return d, 0.5 * (cp + cq), 0.5 * (parts[i].thickness + parts[j].thickness)
 
 
 def _survival(cset, segments, parts, graph, d_c):
-    """Classify contacts after a solve: kept / dropped / new, plus support
-    points for the no-hanging check."""
+    """Classify contacts after a solve: dropped / new, plus support points
+    for the no-hanging check."""
     bound = {b.edge for b in cset.binds}
     before = {pid: st.segment for pid, st in parts.items()}
     z_ground = min(min(s[0][2], s[1][2]) for s in before.values())
     moving = cset.moving
 
-    kept, dropped, new = [], [], []
+    dropped, new = [], []
     supports = {pid: [] for pid in parts}
 
     part_edge_keys = set()
@@ -514,22 +513,19 @@ def _survival(cset, segments, parts, graph, d_c):
         if i not in parts or j not in parts:
             continue
         if i not in moving and j not in moving:
-            kept.append((i, j))
             supports[i].append(np.asarray(e.contact_point))
             supports[j].append(np.asarray(e.contact_point))
             continue
         if (i, j) in bound:
-            kept.append((i, j))
             for b in cset.binds:
                 if b.edge == (i, j):
                     pos = b.pivot if b.kind == "rotate" else segments[b.part][b.end]
                     supports[b.part].append(np.asarray(pos))
                     supports[b.host].append(np.asarray(pos))
             continue
-        d_before, _, _ = _pair_distance(parts, before, i, j, moving)
-        d_after, cp, _ = _pair_distance(parts, segments, i, j, moving)
+        d_before, _, _ = _pair_distance(parts, before, i, j)
+        d_after, cp, _ = _pair_distance(parts, segments, i, j)
         if d_after <= d_before + KEEP_SLACK:
-            kept.append((i, j))
             supports[i].append(cp)
             supports[j].append(cp)
         else:
@@ -555,7 +551,7 @@ def _survival(cset, segments, parts, graph, d_c):
             continue
         if i not in moving and j not in moving:
             continue
-        d_after, cp, radius = _pair_distance(parts, segments, i, j, moving)
+        d_after, cp, radius = _pair_distance(parts, segments, i, j)
         if d_after <= NEW_CONTACT_FACTOR * radius + d_c:
             new.append((i, j))
             supports[i].append(cp)
@@ -571,16 +567,15 @@ def _survival(cset, segments, parts, graph, d_c):
         if len(distinct) < 2:
             no_hanging = False
             break
-    return kept, dropped, new, dropped_ground, no_hanging
+    return dropped, new, dropped_ground, no_hanging
 
 
 def optimize_configuration(cset: ConstraintSet, constraints, parts: dict,
-                           graph: ContactGraph, db=None, materials=None,
+                           graph: ContactGraph,
                            d_c=DEFAULT_CONTACT_DISTANCE) -> Configuration:
     """Solve one constraint set from the current configuration by L-BFGS-B
     over the affine endpoint map, with box bounds [0, 1] on the slide
     parameters."""
-    targets = {c.edge: c.target for c in constraints}
     layout, fun = make_objective(cset, constraints, parts)
     res = minimize(fun, layout.x0, jac=True, method="L-BFGS-B", bounds=layout.bounds,
                    options={"maxiter": SOLVER_MAX_ITERS, "gtol": SOLVER_GTOL,
@@ -590,17 +585,13 @@ def optimize_configuration(cset: ConstraintSet, constraints, parts: dict,
                        cset.index, res.message)
 
     segments = layout.segments(res.x)
-    kept, dropped, new, dropped_ground, no_hanging = _survival(
+    dropped, new, dropped_ground, no_hanging = _survival(
         cset, segments, parts, graph, d_c)
-    kept_set = set(kept)
-    report = _feasibility_report(segments, targets, parts, materials, db,
-                                 restrict=kept_set)
-    objective = sum(r["error_sq"] for r in report if tuple(r["edge"]) in kept_set)
+    errors = _angle_errors(segments, constraints)
     return Configuration(
-        index=cset.index, segments=segments,
-        objective=float(objective), opt_value=float(res.fun),
+        index=cset.index, segments=segments, errors=errors,
+        objective=_score(errors, dropped), opt_value=float(res.fun),
         converged=bool(res.success), dropped_edges=dropped, new_contacts=new,
-        kept_edges=kept, feasibility_report=report,
         moved_parts=sorted(cset.moving), no_hanging_ok=no_hanging,
         dropped_ground=dropped_ground)
 
@@ -613,31 +604,51 @@ def _segment_angle(seg_i, seg_j):
     return fold_angle_deg(u, v)
 
 
-def _feasibility_report(segments, targets, parts, materials, db, restrict=None):
-    out = []
-    for edge, target in sorted(targets.items()):
+def _angle_errors(segments, constraints) -> dict:
+    """Squared angle error per constrained edge on ``segments``, keyed in
+    sorted edge order; 0.0 where a segment degenerates."""
+    errors = {}
+    for edge, target in sorted({c.edge: c.target for c in constraints}.items()):
+        ang = _segment_angle(segments[edge[0]], segments[edge[1]])
+        errors[edge] = 0.0 if ang is None else float((ang - target) ** 2)
+    return errors
+
+
+def _score(errors, left_out=()) -> float:
+    """The squared angle errors of the constrained edges not in
+    ``left_out``, summed in sorted edge order. A configuration's objective
+    leaves out its dropped edges; ``objective_lower_bound`` leaves out of
+    the unmoved model's score every edge with a moving endpoint. A set keeps
+    those other edges with their original segments, so the bound sums a
+    subset of its objective's nonnegative terms in the same order, and
+    adding such terms never lowers a rounded sum. A new score must keep
+    these properties, or the bound no longer holds."""
+    return float(sum(err for edge, err in errors.items() if edge not in left_out))
+
+
+def _feasibility_report(config: Configuration, constraints, parts: dict, db) -> list:
+    """Per constrained edge of ``config``, in sorted order: angle, target,
+    squared error, the histogram feasibility of the angle in the material
+    both sides share (``assess_angle_feasibility`` checked it), and kept."""
+    targets = {c.edge: c.target for c in constraints}
+    report = []
+    for edge, error in config.errors.items():
         i, j = edge
-        ang = _segment_angle(segments[i], segments[j])
-        err = (ang - target) ** 2 if ang is not None else 0.0
-        feas = None
-        if db is not None and materials is not None and ang is not None:
-            mat = materials[i]
-            if mat == materials[j] and mat.value in db.histograms:
-                feas = db.histograms[mat.value].feasibility(ang)
-        out.append({"edge": list(edge), "angle": ang, "target": target,
-                    "error_sq": float(err), "feasibility": feas,
-                    "kept": restrict is None or edge in restrict})
-    return out
+        ang = _segment_angle(config.segments[i], config.segments[j])
+        feas = None if ang is None else \
+            db.histograms[parts[i].material.value].feasibility(ang)
+        report.append({"edge": list(edge), "angle": ang, "target": targets[edge],
+                       "error_sq": error, "feasibility": feas,
+                       "kept": edge not in config.dropped_edges})
+    return report
 
 
 def objective_lower_bound(cset: ConstraintSet, unmoved: Configuration) -> float:
     """A lower bound on ``cset``'s selection objective: the ``unmoved``
-    configuration's squared angle errors over the constrained edges with
-    neither endpoint in ``cset.moving``, summed in the objective's sorted
-    edge order. Those edges are always kept and their segments stay the
-    originals, and adding nonnegative terms never lowers a rounded sum."""
-    return float(sum(r["error_sq"] for r in unmoved.feasibility_report
-                     if cset.moving.isdisjoint(r["edge"])))
+    configuration's score without the constrained edges that touch
+    ``cset.moving`` (see ``_score``)."""
+    return _score(unmoved.errors,
+                  [edge for edge in unmoved.errors if not cset.moving.isdisjoint(edge)])
 
 
 def _tie_threshold(objective):
@@ -646,7 +657,7 @@ def _tie_threshold(objective):
 
 
 def solve_in_bound_order(sets, constraints, parts: dict, graph: ContactGraph,
-                         unmoved: Configuration, db=None, materials=None,
+                         unmoved: Configuration,
                          d_c=DEFAULT_CONTACT_DISTANCE) -> list:
     """Solve the sets that can still change the selection, in order of
     (``objective_lower_bound``, index), and return them in index order.
@@ -683,8 +694,7 @@ def solve_in_bound_order(sets, constraints, parts: dict, graph: ContactGraph,
                 and all(leader.index < rest.index for _, rest in
                         itertools.takewhile(lambda pair: pair[0] <= threshold, order[k:]))):
             break
-        config = optimize_configuration(cset, constraints, parts, graph, db=db,
-                                        materials=materials, d_c=d_c)
+        config = optimize_configuration(cset, constraints, parts, graph, d_c=d_c)
         if config.no_hanging_ok:
             best = min(best, config.objective)
         solved.append(config)
@@ -704,15 +714,12 @@ def select_best_configuration(configs: list) -> Configuration:
     return tied[0]
 
 
-def all_rigid_configuration(constraints, parts: dict, db=None, materials=None) -> Configuration:
+def all_rigid_configuration(constraints, parts: dict) -> Configuration:
     """The unmoved model as a candidate configuration (index -1)."""
     segments = {pid: st.segment.copy() for pid, st in parts.items()}
-    targets = {c.edge: c.target for c in constraints}
-    report = _feasibility_report(segments, targets, parts, materials, db)
-    obj = sum(r["error_sq"] for r in report)
-    return Configuration(index=-1, segments=segments,
-                         objective=float(obj), opt_value=float(obj), converged=True,
-                         dropped_edges=[], new_contacts=[],
-                         kept_edges=[c.edge for c in constraints],
-                         feasibility_report=report, moved_parts=[],
+    errors = _angle_errors(segments, constraints)
+    objective = _score(errors)
+    return Configuration(index=-1, segments=segments, errors=errors,
+                         objective=objective, opt_value=objective, converged=True,
+                         dropped_edges=[], new_contacts=[], moved_parts=[],
                          no_hanging_ok=True)

@@ -234,8 +234,8 @@ def reformed_state(analysis: ModelAnalysis, placed, targets, db: Database,
 def optimize_angles(state: ReformedState, db: Database, cfg: PipelineConfig):
     """Angle feasibility assessment, enumeration, optimization of the sets
     that can still win, selection among them and the unmoved model. Returns
-    (selected Configuration or None, constraints, solved configs, number of
-    enumerated sets)."""
+    (selected Configuration or None, its feasibility report or None,
+    constraints, solved configs, number of enumerated sets)."""
     parts = {}
     for pid, desc in state.descriptors.items():
         parts[pid] = config_opt.PartState(
@@ -244,18 +244,17 @@ def optimize_angles(state: ReformedState, db: Database, cfg: PipelineConfig):
             box=None if desc.is_linear else desc.obb)
     constraints = config_opt.assess_angle_feasibility(state.graph, parts, db)
     if not constraints:
-        return None, [], [], 0
+        return None, None, [], [], 0
     fixed = config_opt.determine_fixed_parts(parts, state.graph, constraints,
                                              repetition=state.repetition)
     sets = config_opt.enumerate_configurations(constraints, state.graph, parts,
                                                fixed=fixed)
-    unmoved = config_opt.all_rigid_configuration(constraints, parts, db,
-                                                 state.materials)
+    unmoved = config_opt.all_rigid_configuration(constraints, parts)
     configs = config_opt.solve_in_bound_order(
-        sets, constraints, parts, state.graph, unmoved, db=db,
-        materials=state.materials, d_c=cfg.d_c)
+        sets, constraints, parts, state.graph, unmoved, d_c=cfg.d_c)
     best = config_opt.select_best_configuration([unmoved] + configs)
-    return best, constraints, configs, len(sets)
+    report = config_opt._feasibility_report(best, constraints, parts, db)
+    return best, report, constraints, configs, len(sets)
 
 
 def apply_configuration(state: ReformedState, configuration, db,
@@ -408,7 +407,7 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
 
         stage = "optimize-angles"
         t0 = time.perf_counter()
-        best, constraints, configs, n_sets = optimize_angles(state, db, cfg)
+        best, report, constraints, configs, n_sets = optimize_angles(state, db, cfg)
         if best is not None:
             state = apply_configuration(state, best, db, cfg)
         _dump(out_dir, "05_configuration.json", {
@@ -420,7 +419,7 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
                 "dropped_edges": best.dropped_edges,
                 "new_contacts": best.new_contacts,
                 "moved_parts": best.moved_parts,
-                "feasibility_report": best.feasibility_report,
+                "feasibility_report": report,
             },
         })
         summary["stages"][stage] = {"seconds": time.perf_counter() - t0,

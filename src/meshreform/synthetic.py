@@ -21,22 +21,11 @@ import numpy as np
 
 from .database import DatabaseSource
 from .mesh import Material, Model, Part, TriangleMesh
-
-_BOX_CORNERS = np.array([[sx, sy, sz]
-                         for sx in (-0.5, 0.5) for sy in (-0.5, 0.5) for sz in (-0.5, 0.5)])
-_BOX_FACES = np.array([
-    [0, 1, 3], [0, 3, 2],
-    [4, 6, 7], [4, 7, 5],
-    [0, 4, 5], [0, 5, 1],
-    [2, 3, 7], [2, 7, 6],
-    [0, 2, 6], [0, 6, 4],
-    [1, 5, 7], [1, 7, 3],
-], dtype=np.int64)
+from .obb import OrientedBox, box_mesh
 
 
 def box_part(center, dims) -> TriangleMesh:
-    verts = _BOX_CORNERS * np.asarray(dims, dtype=float) + np.asarray(center, dtype=float)
-    return TriangleMesh(verts, _BOX_FACES.copy())
+    return box_mesh(OrientedBox(center, np.eye(3), 0.5 * np.asarray(dims, dtype=float)))
 
 
 def rod_part(p0, p1, width, height=None, up=(0.0, 0.0, 1.0)) -> TriangleMesh:
@@ -53,10 +42,9 @@ def rod_part(p0, p1, width, height=None, up=(0.0, 0.0, 1.0)) -> TriangleMesh:
     side = np.cross(axis, up)
     side /= np.linalg.norm(side)
     up2 = np.cross(side, axis)
-    local = _BOX_CORNERS * np.array([length, width, height])
     frame = np.stack([axis, side, up2])
-    verts = local @ frame + 0.5 * (p0 + p1)
-    return TriangleMesh(verts, _BOX_FACES.copy())
+    return box_mesh(OrientedBox(0.5 * (p0 + p1), frame,
+                                0.5 * np.array([length, width, height])))
 
 
 def arc_tube(center, radius, theta0, theta1, cross, segments=12,

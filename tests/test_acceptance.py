@@ -279,13 +279,13 @@ def test_criterion_06_angle_optimization(corpus):
         placed, rep = place_and_restore(analysis, assignment, corpus["db"], ACCEPT_CFG)
         state = reformed_state(analysis, placed, targets, corpus["db"], ACCEPT_CFG,
                                restore_report=rep)
-        best, constraints, _, _ = optimize_angles(state, corpus["db"], ACCEPT_CFG)
+        best, feasibility_report, _, _, _ = optimize_angles(state, corpus["db"],
+                                                            ACCEPT_CFG)
         if best is None:
             continue
         assert best.no_hanging_ok
-        kept = set(best.kept_edges)
-        for r in best.feasibility_report:
-            if tuple(r["edge"]) not in kept or r["angle"] is None:
+        for r in feasibility_report:
+            if not r["kept"] or r["angle"] is None:
                 continue
             ok = (r["feasibility"] is not None and r["feasibility"] >= 0.03) \
                 or abs(r["angle"] - r["target"]) <= 2.0

@@ -22,6 +22,7 @@ from meshreform.config_opt import (ANGLE_WEIGHT_LENGTH, ANGLE_WEIGHT_REPULSE,
                                    segment_distance,
                                    select_best_configuration, _make_bind,
                                    _segment_angle)
+from meshreform.database import AngleHistogram
 from meshreform.graphs import GROUND_ID, ContactEdge, ContactGraph
 from meshreform.mesh import Material, Model
 from meshreform.obb import OrientedBox
@@ -701,11 +702,10 @@ def test_repulsion_keeps_sliders_apart():
 def test_select_best_rules():
     def conf(idx, obj, drops):
         from meshreform.config_opt import Configuration
-        return Configuration(index=idx, segments={},
+        return Configuration(index=idx, segments={}, errors={},
                              objective=obj, opt_value=obj, converged=True,
                              dropped_edges=[(0, k) for k in range(drops)],
-                             new_contacts=[], kept_edges=[],
-                             feasibility_report=[], moved_parts=[],
+                             new_contacts=[], moved_parts=[],
                              no_hanging_ok=True)
     picked = select_best_configuration([conf(0, 3.0, 0), conf(1, 0.2, 0), conf(2, 1.1, 0)])
     assert picked.index == 1
@@ -754,8 +754,8 @@ def test_unmoved_model_competes(solved, small_db, monkeypatch):
             no_hanging_ok=solved != "unsupported")
 
     monkeypatch.setattr(config_opt, "optimize_configuration", solve)
-    best, constraints, configs, n_sets = optimize_angles(grounded_bar_state(), small_db,
-                                                         PipelineConfig())
+    best, _, constraints, configs, n_sets = optimize_angles(grounded_bar_state(),
+                                                            small_db, PipelineConfig())
     assert [c.edge for c in constraints] == [(0, 1)]
     assert len(configs) == n_sets == len(sets)
     assert best.index == -1 and best.moved_parts == []
@@ -787,26 +787,36 @@ def reformed_to_wood(name, seed, db, cfg):
 def bound_runs(small_db):
     """Per case, optimize_angles' pruned result next to the oracle: every
     enumerated set solved from the same inputs and the selection among
-    them and the unmoved model."""
+    them and the unmoved model. Each run also counts its calls of
+    ``AngleHistogram.feasibility``."""
     cfg = PipelineConfig(contact_samples=3000)
     runs = {}
     for name, seed in BOUND_CASES.items():
         seen = {}
         pruned = config_opt.solve_in_bound_order
+        feasibility = AngleHistogram.feasibility
+        calls = []
 
         def spy(sets, constraints, parts, graph, unmoved, **kwargs):
             seen.update(sets=sets, inputs=(constraints, parts, graph),
                         unmoved=unmoved, kwargs=kwargs)
             return pruned(sets, constraints, parts, graph, unmoved, **kwargs)
 
+        def counted(hist, angle):
+            calls.append(angle)
+            return feasibility(hist, angle)
+
+        state = reformed_to_wood(name, seed, small_db, cfg)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(config_opt, "solve_in_bound_order", spy)
-            best, constraints, solved, n_sets = optimize_angles(
-                reformed_to_wood(name, seed, small_db, cfg), small_db, cfg)
+            mp.setattr(AngleHistogram, "feasibility", counted)
+            best, report, constraints, solved, n_sets = optimize_angles(
+                state, small_db, cfg)
         full = [optimize_configuration(s, *seen["inputs"], **seen["kwargs"])
                 for s in seen["sets"]]
         runs[name] = SimpleNamespace(
-            best=best, constraints=constraints, solved=solved, n_sets=n_sets,
+            state=state, best=best, report=report, feasibility_calls=len(calls),
+            constraints=constraints, solved=solved, n_sets=n_sets,
             sets=seen["sets"], unmoved=seen["unmoved"], full=full,
             oracle=select_best_configuration([seen["unmoved"]] + full))
     return runs
@@ -871,6 +881,26 @@ def test_bound_order_skips_sets_on_mixed_table(bound_runs):
     assert len(run.solved) < bound_only
 
 
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_one_feasibility_report_per_request(bound_runs, case):
+    """The histogram is read once per assessed edge and once per constrained
+    edge of the selection, however many sets were solved; the report keeps
+    what the selection keeps, and the selection's objective is the sum of
+    its kept errors."""
+    run = bound_runs[case]
+    mats = run.state.materials
+    assessed = sum(e.angle is not None and mats[e.i] == mats[e.j]
+                   and mats[e.i] in (Material.WOOD, Material.METAL)
+                   for e in run.state.graph.part_edges())
+    assert run.solved
+    assert [tuple(r["edge"]) for r in run.report] == sorted(c.edge for c in run.constraints)
+    assert run.feasibility_calls == assessed + sum(r["angle"] is not None
+                                                   for r in run.report)
+    assert [r["kept"] for r in run.report] == \
+        [tuple(r["edge"]) not in run.best.dropped_edges for r in run.report]
+    assert run.best.objective == sum(r["error_sq"] for r in run.report if r["kept"])
+
+
 @st.composite
 def drawn_walks(draw):
     """An unmoved objective and per set (bound, objective, dropped edges and
@@ -891,11 +921,10 @@ def drawn_walks(draw):
 
 def drawn_configuration(index, objective, dropped, supported):
     n_edges, n_ground = dropped
-    return Configuration(index=index, segments={}, objective=objective,
+    return Configuration(index=index, segments={}, errors={}, objective=objective,
                          opt_value=objective, converged=True,
                          dropped_edges=[(0, k) for k in range(n_edges)],
-                         new_contacts=[], kept_edges=[], feasibility_report=[],
-                         moved_parts=[], no_hanging_ok=supported,
+                         new_contacts=[], moved_parts=[], no_hanging_ok=supported,
                          dropped_ground=list(range(n_ground)))
 
 
@@ -968,7 +997,6 @@ def test_four_rail_drop_via_sliding():
     best = select_best_configuration(configs)
     assert len(best.dropped_edges) >= 1
     assert best.no_hanging_ok
-    # every kept constrained edge ended near its target
-    for r in best.feasibility_report:
-        if tuple(r["edge"]) in set(best.kept_edges) and r["angle"] is not None:
-            assert abs(r["angle"] - r["target"]) < 2.0
+    # every kept constrained edge ended within 2 degrees of its target
+    assert all(error < 2.0 ** 2 for edge, error in best.errors.items()
+               if edge not in best.dropped_edges)

@@ -248,10 +248,9 @@ def test_apply_configuration_drops_and_reposes_only_what_it_names(restored, smal
     segment = state.descriptors[moved].segment + np.array([[0.0, 0.0, 0.05],
                                                            [0.05, 0.05, 0.05]])
     conf = Configuration(
-        index=0, segments={moved: segment}, objective=0.0, opt_value=0.0,
+        index=0, segments={moved: segment}, errors={}, objective=0.0, opt_value=0.0,
         converged=True, dropped_edges=[part_edges[-1].key()], new_contacts=[],
-        kept_edges=[], feasibility_report=[], moved_parts=[moved],
-        no_hanging_ok=True, dropped_ground=[grounded[0]])
+        moved_parts=[moved], no_hanging_ok=True, dropped_ground=[grounded[0]])
     before = encode([state.graph, state.placed])
     out = apply_configuration(state, conf, small_db, restored.cfg)
 

@@ -2,10 +2,13 @@
 no longer resolves adds 0 to its metric without a word. This test pins the
 set of such names, so that a rename or deletion shows up here."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
+from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,3 +49,18 @@ def test_stage_writer_resolves_to_a_pipeline_function():
     module = importlib.import_module("meshreform.pipeline")
     fn = getattr(module, attr, None)
     assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+def test_observers_read_only_fields_of_the_results():
+    """The tracer's observers read attributes of the results of the calls
+    they observe; a renamed or deleted field would fail every traced
+    request. Each observer runs here on a stand-in that has exactly the
+    fields of the observed function's annotated result type."""
+    tracer = load_tracer()
+    for name, observe in (("config_opt.optimize_configuration", tracer._observe_solve),
+                          ("inference.run_loopy_bp", tracer._observe_bp)):
+        short, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"meshreform.{short}"), attr)
+        result_type = inspect.signature(fn).return_annotation
+        result = SimpleNamespace(**{f.name: 0 for f in dataclasses.fields(result_type)})
+        observe(defaultdict(float), (SimpleNamespace(domains=[]),), {}, result)
