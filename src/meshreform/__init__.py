@@ -14,15 +14,14 @@ if "numpy" not in _sys.modules:
         _os.environ.setdefault(_var, "1")
 
 from .mesh import (Material, Model, Part, SurfaceSamples, TriangleMesh,
-                   load_model, normalize_model, sample_surface, save_model,
-                   segment_parts)
+                   load_model, normalize_model, sample_surface, save_model)
 from .obb import OrientedBox, fit_points_obb
 from .part_analysis import PartDescriptor, analyze_part, describe_part, \
     estimate_thickness, fit_obb
 from .graphs import (ContactEdge, ContactGraph, RepetitionGraph,
                      build_contact_graph, build_repetition_graph,
                      estimate_contact_angle)
-from .similarity import (contact_angle_similarity, material_similarity,
+from .similarity import (contact_angle_similarity,
                          orientation_angle_similarity, shape_similarity,
                          spatial_similarity)
 from .database import (Database, DatabaseSource, build_database,

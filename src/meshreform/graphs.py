@@ -119,8 +119,8 @@ def build_contact_graph(model: Model, samples: dict,
 
     ids = [p.id for p in model.parts]
     pts = {pid: samples[pid].positions for pid in ids}
-    aabb = {pid: (pts[pid].min(axis=0), pts[pid].max(axis=0)) for pid in ids}
-    trees = {}   # built on first use: parts in no overlapping pair need none
+    cols = {pid: np.ascontiguousarray(pts[pid].T) for pid in ids}   # (3, n)
+    aabb = {pid: (cols[pid].min(axis=1), cols[pid].max(axis=1)) for pid in ids}
 
     graph = ContactGraph(nodes=list(ids))
     for i, j in itertools.combinations(ids, 2):
@@ -128,21 +128,19 @@ def build_contact_graph(model: Model, samples: dict,
         hi = np.minimum(aabb[i][1], aabb[j][1]) + d_c
         if (lo > hi).any():
             continue
-        a = pts[i][((pts[i] >= lo) & (pts[i] <= hi)).all(axis=1)]
-        b = pts[j][((pts[j] >= lo) & (pts[j] <= hi)).all(axis=1)]
+        a = pts[i][_in_box(cols[i], lo, hi)]
+        b = pts[j][_in_box(cols[j], lo, hi)]
         if len(a) == 0 or len(b) == 0:
             continue
-        for pid in (i, j):
-            if pid not in trees:
-                trees[pid] = cKDTree(pts[pid])
-        # A sample outside the crop box is farther than d_c from every
-        # sample of the other part, so the whole part's tree finds the same
-        # neighbours within d_c as the cropped set would.
-        d_a = trees[j].query(a, distance_upper_bound=d_c)[0]
+        # A sample within d_c of the other part lies inside its own box and
+        # within d_c of the other's, so inside the crop box: a tree over
+        # the other part's cropped samples finds the same neighbours within
+        # d_c as one over the whole part, and holds a few hundred points.
+        d_a = cKDTree(b).query(a, distance_upper_bound=d_c)[0]
         dmin = float(d_a.min())
         if dmin >= d_c:
             continue
-        d_b = trees[i].query(b, distance_upper_bound=d_c)[0]
+        d_b = cKDTree(a).query(b, distance_upper_bound=d_c)[0]
         near = np.vstack([a[d_a < d_c], b[d_b < d_c]])
         graph.edges.append(ContactEdge(i, j, near.mean(axis=0), min_distance=dmin))
 
@@ -150,13 +148,22 @@ def build_contact_graph(model: Model, samples: dict,
     all_min_z = min(float(p.mesh.vertices[:, 2].min()) for p in model.parts)
     for p in model.parts:
         if float(p.mesh.vertices[:, 2].min()) < all_min_z + d_c:
-            low = pts[p.id][pts[p.id][:, 2] < all_min_z + d_c]
+            low = pts[p.id][cols[p.id][2] < all_min_z + d_c]
             if len(low) == 0:
                 low = p.mesh.vertices[p.mesh.vertices[:, 2] < all_min_z + d_c]
             cp = low.mean(axis=0)
             cp = np.array([cp[0], cp[1], all_min_z])
             graph.edges.append(ContactEdge(p.id, GROUND_ID, cp, is_ground=True))
     return graph
+
+
+def _in_box(cols, lo, hi):
+    """Mask of the points, given as (3, n) coordinate rows, inside the
+    axis-aligned box [lo, hi]."""
+    mask = (cols[0] >= lo[0]) & (cols[0] <= hi[0])
+    for k in (1, 2):
+        mask &= (cols[k] >= lo[k]) & (cols[k] <= hi[k])
+    return mask
 
 
 def _angle_leg(desc: PartDescriptor, samples: SurfaceSamples, contact_point):

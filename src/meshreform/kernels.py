@@ -2,10 +2,12 @@
 
 Each kernel is one vectorized numpy implementation. The ray kernel works
 through its rays in chunks, so that the ray x triangle intermediate arrays
-stay a few million entries long whatever the mesh size. The tests check
-every kernel against a per-element loop. Nearest-point search is not here:
-the contact graph, congruence and placement query ``scipy.spatial.cKDTree``
-directly.
+stay a few million entries long whatever the mesh size, and keeps one such
+array per vector component instead of (rays, triangles, 3) products. The
+tests check every kernel against a per-element loop, and the ray kernel bit
+for bit against the ``np.cross`` formulation. Nearest-point search is not
+here: the contact graph, congruence and placement query
+``scipy.spatial.cKDTree`` directly.
 """
 
 import numpy as np
@@ -31,24 +33,32 @@ def ray_mesh_first_hit(origins, dirs, v0, v1, v2, min_t=1e-9):
     out = np.full(n, np.inf)
     if v0.shape[0] == 0 or n == 0:
         return out
-    e1 = v1 - v0
-    e2 = v2 - v0
+    # One (chunk, m) array per vector component of p = d x e2 and
+    # q = (o - v0) x e1; each cross and dot product is written out in
+    # np.cross's and a 3-term sum's order, so the distances are
+    # bit-identical to the (chunk, m, 3) formulation.
+    ax, ay, az = v0.T
+    e1x, e1y, e1z = (v1 - v0).T
+    e2x, e2y, e2z = (v2 - v0).T
     chunk = max(1, int(4_000_000 // max(1, v0.shape[0])))
     for s in range(0, n, chunk):
-        o = origins[s:s + chunk][:, None, :]
-        d = dirs[s:s + chunk][:, None, :]
-        pvec = np.cross(d, e2[None, :, :])
-        det = (e1[None, :, :] * pvec).sum(axis=-1)
+        ox, oy, oz = origins[s:s + chunk].T[:, :, None]
+        dx, dy, dz = dirs[s:s + chunk].T[:, :, None]
+        px = dy * e2z - dz * e2y
+        py = dz * e2x - dx * e2z
+        pz = dx * e2y - dy * e2x
+        det = e1x * px + e1y * py + e1z * pz
         ok = np.abs(det) > _EPS_DET
         inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        tvec = o - v0[None, :, :]
-        u = (tvec * pvec).sum(axis=-1) * inv
-        qvec = np.cross(tvec, e1[None, :, :])
-        v = (d * qvec).sum(axis=-1) * inv
-        t = (e2[None, :, :] * qvec).sum(axis=-1) * inv
+        tx, ty, tz = ox - ax, oy - ay, oz - az
+        u = (tx * px + ty * py + tz * pz) * inv
+        qx = ty * e1z - tz * e1y
+        qy = tz * e1x - tx * e1z
+        qz = tx * e1y - ty * e1x
+        v = (dx * qx + dy * qy + dz * qz) * inv
+        t = (e2x * qx + e2y * qy + e2z * qz) * inv
         hit = ok & (u >= -1e-12) & (v >= -1e-12) & (u + v <= 1.0 + 1e-12) & (t > min_t)
-        t = np.where(hit, t, np.inf)
-        out[s:s + chunk] = t.min(axis=1)
+        out[s:s + chunk] = t.min(axis=1, initial=np.inf, where=hit)
     return out
 
 

@@ -283,24 +283,6 @@ def weld_vertices(vertices, tol):
 # operations
 # ---------------------------------------------------------------------------
 
-def segment_parts(mesh: TriangleMesh) -> list:
-    """Split a mesh into connected components by shared vertices, in the
-    order of their first face."""
-    from .graphs import connected_components   # graphs imports this module
-
-    if mesh.n_faces == 0:
-        raise ValueError("mesh is empty")
-    faces = mesh.faces
-    pairs = np.concatenate([faces[:, [0, 1]], faces[:, [0, 2]]]).tolist()
-    comp = np.empty(len(mesh.vertices), dtype=np.int64)
-    for k, members in enumerate(connected_components(range(len(mesh.vertices)), pairs)):
-        comp[members] = k
-    face_comp = comp[faces[:, 0]]
-    _, first = np.unique(face_comp, return_index=True)
-    return [_compact(mesh.vertices, faces[face_comp == face_comp[f]])
-            for f in np.sort(first)]
-
-
 def normalize_model(model: Model) -> Model:
     """Uniformly scale a model so its whole-model OBB diagonal equals 1."""
     from .obb import fit_points_obb

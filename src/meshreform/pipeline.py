@@ -65,6 +65,10 @@ class PipelineConfig:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         # absent keys keep their defaults; decode checks every value's type
         cfg = decode(cls, {**encode(cls()), **d})
+        for name in ("d_c", "thickness_bin", "contact_samples", "candidates_k"):
+            if not getattr(cfg, name) > 0:
+                raise ValueError(f"config {name} must be positive, "
+                                 f"got {getattr(cfg, name)}")
         cfg.target_materials = _target_spec(cfg.target_materials)
         cfg.joint_overrides = _joint_overrides(cfg.joint_overrides)
         return cfg

@@ -1,4 +1,4 @@
-"""Similarity kernels between parts, materials, and contact configurations.
+"""Similarity kernels between parts and contact configurations.
 
 All kernels are symmetric, bounded in [0, 1], equal 1 on identical inputs,
 and consume only rigid-invariant descriptors. The numeric kernels broadcast
@@ -7,8 +7,6 @@ of elementwise values, computed by the same code.
 """
 
 import numpy as np
-
-from .mesh import Material
 
 SHAPE_MODES = ("obb_only", "obb_plus_area", "full")
 
@@ -49,14 +47,6 @@ def shape_similarity(a, b, mode="obb_only"):
     ``full`` multiplies all three (used for material suggestion).
     """
     return float(shape_matrix([a], [b], mode)[0, 0])
-
-
-def material_similarity(a: Material, b: Material):
-    """1 when equal, 0 otherwise; only wood/metal are comparable."""
-    valid = (Material.WOOD, Material.METAL)
-    if a not in valid or b not in valid:
-        raise ValueError(f"materials must be wood or metal, got {a}, {b}")
-    return 1.0 if a == b else 0.0
 
 
 def spatial_similarity(d1, d2):

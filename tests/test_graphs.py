@@ -198,6 +198,40 @@ def test_edges_match_bruteforce_random_scatter():
     assert got == expected
 
 
+def _crop_sizes(samples, i, j, d_c):
+    """How many samples of parts i and j lie in the pair's crop box: the
+    overlap of their bounding boxes grown by d_c."""
+    pi, pj = samples[i].positions, samples[j].positions
+    lo = np.maximum(pi.min(axis=0), pj.min(axis=0)) - d_c
+    hi = np.minimum(pi.max(axis=0), pj.max(axis=0)) + d_c
+    return tuple(int(((p >= lo) & (p <= hi)).all(axis=1).sum()) for p in (pi, pj))
+
+
+def test_rod_tip_on_block_crops_a_few_percent():
+    """Only the rod's tip is near the block: the crop keeps a few percent of
+    the rod's samples and still finds the reference's edge."""
+    from meshreform.synthetic import rod_part
+    model = Model(parts=[Part(id=0, mesh=rod_part([0, 0, 0], [1, 0, 0], 0.02)),
+                         make_box_part(1, [1.05, 0, 0], [0.1, 0.1, 0.1])])
+    samples = {p.id: sample_surface(p, 4000, seed=1) for p in model.parts}
+    n_rod, _ = _crop_sizes(samples, 0, 1, 0.01)
+    assert 0 < n_rod < 0.05 * 4000
+    assert_edges_match_reference(model, samples, 0.01, min_edges=1)
+
+
+def test_skew_rods_with_overlapping_crops_form_no_edge():
+    """Two skew rods 0.05 apart (axis to axis): their crop boxes hold
+    samples of both, but no sample is within d_c of the other rod."""
+    from meshreform.synthetic import rod_part
+    z = 0.5 + 0.025 * np.sqrt(6.0)     # line distance |2z - 1| / sqrt(6) = 0.05
+    model = Model(parts=[Part(id=0, mesh=rod_part([0, 0, 0], [1, 1, 1], 0.02)),
+                         Part(id=1, mesh=rod_part([1, 0, z], [0, 1, z], 0.02))])
+    samples = {p.id: sample_surface(p, 4000, seed=1) for p in model.parts}
+    assert min(_crop_sizes(samples, 0, 1, 0.01)) > 0
+    assert contact_edges_reference(model, samples, 0.01) == []
+    assert build_contact_graph(model, samples, d_c=0.01).part_edges() == []
+
+
 # ---------------------------------------------------------------------------
 # contact angles
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """The numpy kernels against per-element references: Moller-Trumbore and
-point-in-box loops written out one ray, triangle, point and box at a time."""
+point-in-box loops written out one ray, triangle, point and box at a time,
+and the ray kernel bit for bit against the broadcast ``np.cross`` form."""
 
 import numpy as np
 import pytest
 
 from meshreform import kernels
+from meshreform.mesh import Part, sample_surface
+from meshreform.synthetic import arc_tube, box_part, rod_part
 
 
 def ray_first_hit_loops(origins, dirs, v0, v1, v2, min_t=1e-9):
@@ -28,6 +31,27 @@ def ray_first_hit_loops(origins, dirs, v0, v1, v2, min_t=1e-9):
             if min_t < t < out[i]:
                 out[i] = t
     return out
+
+
+def ray_first_hit_cross(origins, dirs, v0, v1, v2, min_t=1e-9):
+    """Moller-Trumbore on (n, m, 3) arrays with ``np.cross`` and summed
+    products. The kernel must return exactly these floats: thickness is a
+    histogram bin, so a last-digit change could move a part to another bin."""
+    e1 = v1 - v0
+    e2 = v2 - v0
+    o = origins[:, None, :]
+    d = dirs[:, None, :]
+    pvec = np.cross(d, e2[None, :, :])
+    det = (e1[None, :, :] * pvec).sum(axis=-1)
+    ok = np.abs(det) > kernels._EPS_DET
+    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+    tvec = o - v0[None, :, :]
+    u = (tvec * pvec).sum(axis=-1) * inv
+    qvec = np.cross(tvec, e1[None, :, :])
+    v = (d * qvec).sum(axis=-1) * inv
+    t = (e2[None, :, :] * qvec).sum(axis=-1) * inv
+    hit = ok & (u >= -1e-12) & (v >= -1e-12) & (u + v <= 1.0 + 1e-12) & (t > min_t)
+    return np.where(hit, t, np.inf).min(axis=1)
 
 
 def points_in_boxes_loops(points, centers, axes, half_extents, tol=1e-9):
@@ -60,6 +84,7 @@ def test_ray_paths_agree(tris):
     want = ray_first_hit_loops(origins, dirs, *tris)
     assert 10 < np.isfinite(want).sum() < 100
     assert np.allclose(got, want)
+    assert np.array_equal(got, ray_first_hit_cross(origins, dirs, *tris))
 
 
 def test_ray_simple_hit():
@@ -85,3 +110,23 @@ def test_points_in_boxes_paths_agree():
     want = points_in_boxes_loops(pts, centers, axes, half)
     assert 0 < want.sum() < len(pts)
     assert (got == want).all()
+
+
+@pytest.mark.parametrize("mesh", [
+    box_part([0.1, -0.2, 0.3], [0.5, 0.07, 0.31]),
+    rod_part([0.0, 0.0, 0.0], [0.4, 0.3, 0.9], 0.03),
+    arc_tube([0.0, 0.0, 0.2], 0.4, 0.1, 2.9, 0.04),
+], ids=["box", "rod", "arc"])
+def test_ray_kernel_bit_identical_on_thickness_rays(mesh):
+    """Rays from surface samples cast along -normals, as
+    ``estimate_thickness`` casts them, and along +normals: a mesh wound
+    inside out (the rod and the arc) is hit only by the latter."""
+    part = Part(id=0, mesh=mesh)
+    s = sample_surface(part, 600, seed=5)
+    tri = mesh.triangle_corners()
+    hit = np.zeros(len(s), dtype=bool)
+    for dirs in (-s.normals, s.normals):
+        got = kernels.ray_mesh_first_hit(s.positions, dirs, *tri)
+        assert np.array_equal(got, ray_first_hit_cross(s.positions, dirs, *tri))
+        hit |= np.isfinite(got)
+    assert hit.mean() > 0.9

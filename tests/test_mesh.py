@@ -6,8 +6,8 @@ import pytest
 
 from meshreform.mesh import (Material, MeshParseError, Model, Part,
                              load_model, normalize_model, sample_surface,
-                             save_model, segment_parts)
-from conftest import make_box_mesh, make_box_part
+                             save_model)
+from conftest import make_box_part
 
 CUBE_PAIR = """\
 g left
@@ -129,58 +129,6 @@ def test_save_load_roundtrip(tmp_path):
     for p, q in zip(model.parts, back.parts):
         assert np.allclose(np.sort(p.mesh.vertices, axis=0),
                            np.sort(q.mesh.vertices, axis=0))
-
-
-# ---------------------------------------------------------------------------
-# segment_parts
-# ---------------------------------------------------------------------------
-
-def _merge(meshes):
-    verts = np.vstack([m.vertices for m in meshes])
-    faces = []
-    off = 0
-    for m in meshes:
-        faces.append(m.faces + off)
-        off += len(m.vertices)
-    from meshreform.mesh import TriangleMesh
-    return TriangleMesh(verts, np.vstack(faces))
-
-
-def test_segment_two_cubes():
-    merged = _merge([make_box_mesh([0, 0, 0], [1, 1, 1]),
-                     make_box_mesh([5, 0, 0], [1, 1, 1])])
-    comps = segment_parts(merged)
-    assert [c.n_faces for c in comps] == [12, 12]
-
-
-def test_segment_connected_sphere():
-    # geodesic-ish sphere: subdivided octahedron shares all vertices
-    import itertools
-    verts = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-    faces = [(0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4),
-             (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5)]
-    from meshreform.mesh import TriangleMesh
-    comps = segment_parts(TriangleMesh(np.array(verts, float), np.array(faces)))
-    assert len(comps) == 1
-
-
-def test_segment_cube_plus_triangle():
-    from meshreform.mesh import TriangleMesh
-    tri = TriangleMesh(np.array([[9, 0, 0], [10, 0, 0], [9, 1, 0]], float),
-                       np.array([[0, 1, 2]]))
-    merged = _merge([make_box_mesh([0, 0, 0], [1, 1, 1]), tri])
-    comps = segment_parts(merged)
-    assert sorted(c.n_faces for c in comps) == [1, 12]
-
-
-def test_segment_partitions_faces():
-    merged = _merge([make_box_mesh([0, 0, 0], [1, 1, 1]),
-                     make_box_mesh([5, 0, 0], [2, 1, 1]),
-                     make_box_mesh([0, 5, 0], [1, 2, 3])])
-    comps = segment_parts(merged)
-    assert sum(c.n_faces for c in comps) == merged.n_faces
-    total_area = sum(c.surface_area() for c in comps)
-    assert abs(total_area - merged.surface_area()) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,14 @@ def test_config_value_of_wrong_type_is_rejected(bad):
         PipelineConfig.from_json(bad)
 
 
+@pytest.mark.parametrize("key", ["d_c", "thickness_bin", "contact_samples",
+                                 "candidates_k"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_config_non_positive_setting_is_rejected(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be positive"):
+        PipelineConfig.from_json({key: value})
+
+
 def test_config_float_field_accepts_int():
     assert PipelineConfig.from_json({"d_c": 1, "seed": 2}).d_c == 1
 

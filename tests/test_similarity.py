@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from meshreform.mesh import Material, sample_surface
+from meshreform.mesh import sample_surface
 from meshreform.part_analysis import analyze_part
 from meshreform.similarity import (SHAPE_MODES, SIGMA_R, SIGMA_T,
                                    area_ratio_similarity,
                                    contact_angle_similarity,
-                                   material_similarity, obb_similarity,
+                                   obb_similarity,
                                    orientation_angle_similarity,
                                    orientation_angles, shape_matrix,
                                    shape_similarity, spatial_similarity,
@@ -52,19 +52,6 @@ def test_full_mode_is_product():
             * math.exp(-(a.area_ratio - b.area_ratio) ** 2 / SIGMA_R ** 2)
             * math.exp(-(a.thickness - b.thickness) ** 2 / SIGMA_T ** 2))
     assert shape_similarity(a, b, mode="full") == pytest.approx(prod, abs=1e-12)
-
-
-def test_material_table():
-    assert material_similarity(Material.WOOD, Material.WOOD) == 1.0
-    assert material_similarity(Material.WOOD, Material.METAL) == 0.0
-    assert material_similarity(Material.METAL, Material.METAL) == 1.0
-
-
-def test_material_rejects_other_and_untagged():
-    with pytest.raises(ValueError):
-        material_similarity(Material.OTHER, Material.WOOD)
-    with pytest.raises(ValueError):
-        material_similarity(Material.WOOD, Material.UNTAGGED)
 
 
 def test_spatial_spot_values():
