@@ -26,9 +26,8 @@ from .similarity import (contact_angle_similarity,
                          spatial_similarity)
 from .database import (Database, DatabaseSource, build_database,
                        cluster_candidates, load_database, save_database)
-from .inference import (Assignment, FactorGraph, brute_force_map,
-                        build_material_factor_graph, build_reform_factor_graph,
-                        run_loopy_bp)
+from .inference import (Assignment, FactorGraph, build_material_factor_graph,
+                        build_reform_factor_graph, exact_map)
 from .assembly import PlacedPart, place_replacements, restore_contacts
 from .config_opt import (assess_angle_feasibility, enumerate_configurations,
                          optimize_configuration, select_best_configuration)

@@ -113,7 +113,6 @@ def cmd_suggest(args):
     _write(args.out, {
         "materials": materials,
         "log_potential": result.log_potential,
-        "converged": result.converged,
     })
     return EXIT_OK
 

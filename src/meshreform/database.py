@@ -197,28 +197,6 @@ def _index_model(db: Database, analysis, name, joint_tags=None):
             db.histograms[mats[0].value].add(e.angle)
 
 
-def merge_databases(dbs) -> Database:
-    """Concatenate several databases (training folds, incremental corpora).
-
-    Part indices are offset, histograms are summed, and the candidate set is
-    cleared; re-run :func:`cluster_candidates` if reform needs one.
-    """
-    import dataclasses
-
-    out = Database()
-    for db in dbs:
-        offset = len(out.parts)
-        for p in db.parts:
-            out.parts.append(dataclasses.replace(p, index=p.index + offset,
-                                                 cluster_id=None))
-        for c in db.contacts:
-            out.contacts.append(dataclasses.replace(c, u=c.u + offset,
-                                                    v=c.v + offset))
-        for key, h in db.histograms.items():
-            out.histograms[key].bins = out.histograms[key].bins + h.bins
-    return out
-
-
 def part_feature(part: ExemplarPart):
     """5-d clustering feature: sorted OBB extents, area ratio, thickness."""
     d = part.descriptor

@@ -452,10 +452,6 @@ def _lap_notch(part: OrientedBox, other: OrientedBox):
     return subtract_local_box(part, cut_lo, cut_hi)
 
 
-def boxes_volume(boxes):
-    return float(sum(b.volume for b in boxes))
-
-
 # ---------------------------------------------------------------------------
 # spec export
 # ---------------------------------------------------------------------------

@@ -1,30 +1,29 @@
-"""Factor graphs and loopy belief propagation for part replacement and
-material suggestion.
+"""Factor graphs and exact MAP inference for part replacement and material
+suggestion.
 
-Pairwise potentials carry an exponent weight (``CONTACT_WEIGHT`` for
-contact factors, ``REPETITION_WEIGHT`` for repetition factors) applied in
-log space before message passing. Messages are max-product, so the beliefs
-are max-marginals; decoding takes the per-variable argmax, which is the
-exact MAP on trees.
+A contact factor's table carries an exponent weight (``CONTACT_WEIGHT``)
+applied in log space. A repetition factor is a hard equality: its two parts
+take the same label, so its table is the indicator of equal label values and
+its log table is 0 on that diagonal and -inf elsewhere.
+
+``exact_map`` collapses each repetition class into one variable and runs
+max-sum variable elimination (bucket elimination; Dechter, Artif. Intell.
+1999) on the classes, then decodes forward with the first argmax, so exact
+ties go to the lexicographically first assignment.
 """
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graphs import connected_components
 from .mesh import Material
 from .similarity import (contact_angle_similarity, shape_matrix,
                          spatial_similarity)
 
-logger = logging.getLogger(__name__)
-
 LOG_FLOOR = 1e-300
 CONTACT_WEIGHT = 0.1
-REPETITION_WEIGHT = 20.0
-BP_MAX_ITERS = 100
-BP_DAMPING = 0.5
-BP_TOL = 1e-6
+FACTOR_KINDS = ("contact", "repetition")
 
 
 class InferenceError(ValueError):
@@ -43,7 +42,7 @@ class PairwiseFactor:
 @dataclass
 class FactorGraph:
     """Multi-label MRF: one variable per part, unary tables in linear space,
-    pairwise factors with exponent weights."""
+    contact factors with exponent weights and repetition equalities."""
 
     keys: list                       # variable names (part ids)
     domains: list                    # per-variable label arrays
@@ -58,24 +57,39 @@ class FactorGraph:
                 raise InferenceError(f"variable {self.keys[i]} has empty domain")
             if not np.isfinite(un).all() or (np.asarray(un) < 0).any():
                 raise ValueError(f"variable {i}: unary must be finite and >= 0")
-        for f in self.pairwise:
-            if f.a >= len(self.keys) or f.b >= len(self.keys):
-                raise ValueError("factor references missing variable")
+        for k, f in enumerate(self.pairwise):
+            name = f"factor {k} ({f.a}, {f.b}, {f.kind!r})"
+            if f.kind not in FACTOR_KINDS:
+                raise ValueError(f"{name}: kind must be one of {', '.join(FACTOR_KINDS)}")
+            if not (0 <= f.a < len(self.keys) and 0 <= f.b < len(self.keys)):
+                raise ValueError(f"{name} references a missing variable")
+            if f.a == f.b:
+                raise ValueError(f"{name} joins a variable to itself")
             if f.table.shape != (len(self.domains[f.a]), len(self.domains[f.b])):
-                raise ValueError("factor table shape mismatch")
+                raise ValueError(f"{name}: table shape mismatch")
             if not np.isfinite(f.table).all() or (f.table < 0).any():
-                raise ValueError("factor table must be finite and >= 0")
+                raise ValueError(f"{name}: table must be finite and >= 0")
+            if f.kind == "repetition" and not np.array_equal(
+                    f.table > 0, self._equal_labels(f.a, f.b)):
+                raise ValueError(f"{name}: table must be the indicator of equal labels")
 
     @property
     def n_vars(self):
         return len(self.keys)
+
+    def _equal_labels(self, a, b):
+        # object arrays: numpy would cut str-enum labels to a fixed width
+        da, db = (np.asarray(self.domains[v], dtype=object) for v in (a, b))
+        return da[:, None] == db[None, :]
 
     def log_unaries(self):
         return [np.log(np.maximum(np.asarray(u, dtype=float), LOG_FLOOR))
                 for u in self.unaries]
 
     def log_tables(self):
-        return [f.weight * np.log(np.maximum(f.table, LOG_FLOOR)) for f in self.pairwise]
+        return [np.where(f.table > 0, 0.0, -np.inf) if f.kind == "repetition"
+                else f.weight * np.log(np.maximum(f.table, LOG_FLOOR))
+                for f in self.pairwise]
 
     def log_potential(self, indices):
         """Total weighted log potential of a label-index assignment."""
@@ -92,111 +106,86 @@ class Assignment:
     labels: dict                 # key -> label value
     indices: dict                # key -> label index
     log_potential: float
-    converged: bool = True
-    iterations: int = 0
+    variables: int               # repetition classes the solver eliminated
+    largest_table: int           # entries of the largest elimination table
 
 
 # ---------------------------------------------------------------------------
-# message passing
+# exact MAP
 # ---------------------------------------------------------------------------
 
-def _normalize_log(v):
-    m = v.max()
-    return v - (m + np.log(np.exp(v - m).sum()))
+def _collapse(graph, log_un):
+    """Repetition classes ordered by smallest member, each member's label
+    index per class label, and one log unary per class. A class's labels are
+    the values every member's domain holds, in its first member's order."""
+    classes = connected_components(
+        range(graph.n_vars),
+        [(f.a, f.b) for f in graph.pairwise if f.kind == "repetition"])
+    picks, unary = [], []
+    for members in classes:
+        where = [{val: i for i, val in enumerate(graph.domains[v])} for v in members]
+        shared = [val for val in graph.domains[members[0]]
+                  if all(val in w for w in where)]
+        if not shared:
+            raise InferenceError(
+                f"repetition class {[graph.keys[v] for v in members]} shares no label")
+        pick = {v: np.array([w[val] for val in shared]) for v, w in zip(members, where)}
+        picks.append(pick)
+        unary.append(sum(log_un[v][pick[v]] for v in members))
+    return classes, picks, unary
 
 
-def run_loopy_bp(graph: FactorGraph) -> Assignment:
-    """Synchronous damped max-product message passing; beliefs decoded by
-    per-variable argmax with smallest-index tie break.
+def exact_map(graph: FactorGraph) -> Assignment:
+    """MAP of the weighted potential, repetition classes held equal.
 
-    Messages are damped by ``BP_DAMPING`` and kept normalized to
-    log-sum-exp zero; passing stops once no message moves by ``BP_TOL`` or
-    after ``BP_MAX_ITERS`` rounds.
+    Classes are eliminated from the last (by smallest member) to the first;
+    a class's bucket holds every factor whose last class it is, so its
+    table, indexed by the classes decoded before it, scores each of its
+    labels by the best completion. Decoding takes the first argmax class by
+    class, which gives the lexicographically first optimal assignment.
     """
-    log_un = graph.log_unaries()
-    log_tab = graph.log_tables()
-    nv = graph.n_vars
-
-    # factor -> variable messages, one per (factor, side)
-    fac_msgs = [[np.zeros(len(graph.domains[f.a])), np.zeros(len(graph.domains[f.b]))]
-                for f in graph.pairwise]
-    incident = [[] for _ in range(nv)]
-    for fi, f in enumerate(graph.pairwise):
-        incident[f.a].append((fi, 0))
-        incident[f.b].append((fi, 1))
-
-    converged = False
-    it = 0
-    for it in range(1, BP_MAX_ITERS + 1):
-        # variable -> factor from previous factor -> variable
-        var_sums = [log_un[v] + sum((fac_msgs[fi][side] for fi, side in incident[v]),
-                                    np.zeros(len(graph.domains[v])))
-                    for v in range(nv)]
-        delta = 0.0
-        new_msgs = []
-        for fi, f in enumerate(graph.pairwise):
-            to_a = var_sums[f.a] - fac_msgs[fi][0]
-            to_b = var_sums[f.b] - fac_msgs[fi][1]
-            msg_a = (log_tab[fi] + to_b[None, :]).max(axis=1)
-            msg_b = (log_tab[fi].T + to_a[None, :]).max(axis=1)
-            msg_a = _normalize_log(BP_DAMPING * fac_msgs[fi][0]
-                                   + (1 - BP_DAMPING) * _normalize_log(msg_a))
-            msg_b = _normalize_log(BP_DAMPING * fac_msgs[fi][1]
-                                   + (1 - BP_DAMPING) * _normalize_log(msg_b))
-            delta = max(delta,
-                        float(np.abs(msg_a - fac_msgs[fi][0]).max(initial=0.0)),
-                        float(np.abs(msg_b - fac_msgs[fi][1]).max(initial=0.0)))
-            new_msgs.append([msg_a, msg_b])
-        fac_msgs = new_msgs
-        if delta < BP_TOL:
-            converged = True
-            break
-    if not converged and graph.pairwise:
-        logger.warning("loopy BP did not converge in %d iterations (delta %.2e)",
-                       BP_MAX_ITERS, delta)
-    if not graph.pairwise:
-        converged = True
-
-    indices = {}
-    labels = {}
-    for v in range(nv):
-        belief = log_un[v] + sum((fac_msgs[fi][side] for fi, side in incident[v]),
-                                 np.zeros(len(graph.domains[v])))
-        idx = int(np.argmax(belief))   # first max: smallest label index on ties
-        indices[graph.keys[v]] = idx
-        labels[graph.keys[v]] = graph.domains[v][idx]
-    order = [indices[k] for k in graph.keys]
-    return Assignment(labels=labels, indices=indices,
-                      log_potential=graph.log_potential(order),
-                      converged=converged, iterations=it)
-
-
-def brute_force_map(graph: FactorGraph, max_space=1_000_000) -> Assignment:
-    """Exhaustive maximization of the weighted potential; ties resolve to the
-    lexicographically first assignment."""
-    sizes = [len(d) for d in graph.domains]
-    space = int(np.prod(sizes, dtype=np.int64)) if sizes else 0
-    if space > max_space:
-        raise InferenceError(f"label space {space} exceeds {max_space}")
-    total = np.zeros(sizes)
-    for v, lu in enumerate(graph.log_unaries()):
-        shape = [1] * len(sizes)
-        shape[v] = sizes[v]
-        total = total + lu.reshape(shape)
+    classes, picks, unary = _collapse(graph, graph.log_unaries())
+    cls_of = {v: c for c, members in enumerate(classes) for v in members}
+    sizes = [len(u) for u in unary]
+    # each factor is (sorted class scope, table with one axis per scope entry)
+    factors = [((c,), u) for c, u in enumerate(unary)]
     for f, lt in zip(graph.pairwise, graph.log_tables()):
-        shape = [1] * len(sizes)
-        shape[f.a] = sizes[f.a]
-        shape[f.b] = sizes[f.b]
-        if f.a < f.b:
-            total = total + lt.reshape(shape)
+        if f.kind == "repetition":
+            continue        # 0 on the labels a class can take
+        ca, cb = cls_of[f.a], cls_of[f.b]
+        if ca == cb:
+            factors.append(((ca,), lt[picks[ca][f.a], picks[ca][f.b]]))
         else:
-            total = total + lt.T.reshape(shape)
-    flat = int(np.argmax(total))   # first max in C order = lexicographic
-    idx = np.unravel_index(flat, sizes)
-    indices = {k: int(i) for k, i in zip(graph.keys, idx)}
-    labels = {k: graph.domains[v][indices[k]] for v, k in enumerate(graph.keys)}
+            table = lt[np.ix_(picks[ca][f.a], picks[cb][f.b])]
+            factors.append(((ca, cb), table) if ca < cb else ((cb, ca), table.T))
+
+    buckets = [None] * len(classes)
+    largest = 0
+    for c in reversed(range(len(classes))):
+        mine = [f for f in factors if f[0][-1] == c]
+        factors = [f for f in factors if f[0][-1] != c]
+        scope = tuple(sorted({x for s, _ in mine for x in s}))
+        total = np.zeros([sizes[x] for x in scope])
+        for s, t in mine:
+            total = total + t.reshape([sizes[x] if x in s else 1 for x in scope])
+        buckets[c] = (scope, total)
+        largest = max(largest, total.size)
+        if len(scope) > 1:
+            factors.append((scope[:-1], total.max(axis=-1)))
+
+    decoded = []
+    for scope, total in buckets:
+        decoded.append(int(np.argmax(total[tuple(decoded[x] for x in scope[:-1])])))
+    indices, labels = {}, {}
+    for c, members in enumerate(classes):
+        for v in members:
+            idx = int(picks[c][v][decoded[c]])
+            indices[graph.keys[v]] = idx
+            labels[graph.keys[v]] = graph.domains[v][idx]
     return Assignment(labels=labels, indices=indices,
-                      log_potential=float(total[idx]), converged=True)
+                      log_potential=graph.log_potential(
+                          [indices[k] for k in graph.keys]),
+                      variables=len(classes), largest_table=largest)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +199,8 @@ def build_reform_factor_graph(descriptors: dict, contact_graph, repetition_graph
     Unaries gate candidates by target material and score OBB similarity
     (plus area ratio for parts listed in ``compact``); contact factors sum
     candidate-pair affinity over every contacting exemplar pair; repetition
-    factors are identity indicators.
+    factors tie congruent parts that have the same target material (parts
+    with different targets share no candidate).
     """
     if not db.candidates:
         raise InferenceError("database has no candidate set (run cluster_candidates)")
@@ -286,12 +276,11 @@ def build_reform_factor_graph(descriptors: dict, contact_graph, repetition_graph
                                        weight=CONTACT_WEIGHT, kind="contact"))
 
     for i, j in repetition_graph.edges:
-        if i not in var_of or j not in var_of:
+        if i not in var_of or j not in var_of or targets[i] != targets[j]:
             continue
         a, b = var_of[i], var_of[j]
         table = (domains[a][:, None] == domains[b][None, :]).astype(float)
-        pairwise.append(PairwiseFactor(a, b, table,
-                                       weight=REPETITION_WEIGHT, kind="repetition"))
+        pairwise.append(PairwiseFactor(a, b, table, kind="repetition"))
 
     return FactorGraph(keys=keys, domains=domains, unaries=unaries, pairwise=pairwise)
 
@@ -299,7 +288,13 @@ def build_reform_factor_graph(descriptors: dict, contact_graph, repetition_graph
 def build_material_factor_graph(descriptors: dict, contact_graph, repetition_graph,
                                 db) -> FactorGraph:
     """Material-suggestion MRF over {wood, metal} with full shape kernels,
-    spatial and contact-angle pairwise terms, and identity repetition."""
+    spatial and contact-angle pairwise terms, and identity repetition.
+
+    Contacts inside a repetition class get no factor: such a factor only
+    weighs wood-wood against metal-metal for a part touching copies of
+    itself (side-by-side slats), which the corpus rarely has an exemplar
+    pair for, and its near-zero entries would outvote the unaries.
+    """
     if not db.parts:
         raise InferenceError("empty database")
     part_ids = sorted(descriptors)
@@ -325,8 +320,12 @@ def build_material_factor_graph(descriptors: dict, contact_graph, repetition_gra
 
     pairwise = []
     var_of = {pid: v for v, pid in enumerate(part_ids)}
+    class_of = {pid: c for c, members in enumerate(repetition_graph.classes())
+                for pid in members}
     for e in contact_graph.part_edges():
         if e.i not in var_of or e.j not in var_of:
+            continue
+        if e.i in class_of and class_of[e.i] == class_of.get(e.j):
             continue
         d_ij = float(np.linalg.norm(dist[e.i] - dist[e.j]))
         pr = spatial_similarity(d_ij, d_uv)
@@ -348,7 +347,7 @@ def build_material_factor_graph(descriptors: dict, contact_graph, repetition_gra
         if i not in var_of or j not in var_of:
             continue
         pairwise.append(PairwiseFactor(var_of[i], var_of[j], np.eye(2),
-                                       weight=REPETITION_WEIGHT, kind="repetition"))
+                                       kind="repetition"))
 
     return FactorGraph(keys=part_ids, domains=[labels] * len(part_ids),
                        unaries=unaries, pairwise=pairwise)

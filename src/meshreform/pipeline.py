@@ -125,7 +125,7 @@ def suggest_materials(analysis: ModelAnalysis, db: Database):
     graph = inference.build_material_factor_graph(
         analysis.descriptors, analysis.contact_graph, analysis.repetition_graph,
         db)
-    result = inference.run_loopy_bp(graph)
+    result = inference.exact_map(graph)
     return {pid: result.labels[pid] for pid in result.labels}, result
 
 
@@ -192,7 +192,7 @@ def reform_assignment(analysis: ModelAnalysis, targets, db: Database,
     graph = inference.build_reform_factor_graph(
         analysis.descriptors, analysis.contact_graph, analysis.repetition_graph,
         targets, db, compact=set(cfg.compact_parts))
-    return inference.run_loopy_bp(graph)
+    return inference.exact_map(graph)
 
 
 def place_and_restore(analysis: ModelAnalysis, assignment, db: Database,
@@ -387,13 +387,13 @@ def run_pipeline(model_path, db_path, cfg: PipelineConfig, out_dir,
         _dump(out_dir, "03_assignment.json", {
             "labels": assignment.labels,
             "log_potential": assignment.log_potential,
-            "converged": assignment.converged,
-            "iterations": assignment.iterations,
+            "variables": assignment.variables,
+            "largest_table": assignment.largest_table,
         })
         summary["stages"][stage] = {"seconds": time.perf_counter() - t0,
                                     "log_potential": assignment.log_potential,
-                                    "converged": assignment.converged,
-                                    "iterations": assignment.iterations}
+                                    "variables": assignment.variables,
+                                    "largest_table": assignment.largest_table}
 
         stage = "restore"
         t0 = time.perf_counter()

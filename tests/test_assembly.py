@@ -34,9 +34,9 @@ def analyzed_model(parts):
 
 
 def place(descs, labels, db, samples):
-    return place_replacements(descs, Assignment(labels=labels, indices={},
-                                                log_potential=0.0), db,
-                              query_samples=samples)
+    assignment = Assignment(labels=labels, indices={}, log_potential=0.0,
+                            variables=len(labels), largest_table=0)
+    return place_replacements(descs, assignment, db, query_samples=samples)
 
 
 def test_identity_replacement_identity_pose():

@@ -95,6 +95,7 @@ def test_suggest(corpus, tmp_path):
                "--out", str(out), "--config", _config_path(corpus["root"])])
     assert rc == EXIT_OK
     doc = json.load(open(out))
+    assert set(doc) == {"materials", "log_potential"}
     assert set(doc["materials"].values()) == {"wood"}
 
 

@@ -54,13 +54,16 @@ def test_full_pipeline_to_metal(query_paths, small_db, tmp_path):
     assert len(reformed.parts) == len(spec["parts"])
 
 
-def test_summary_reports_bp_iterations(query_paths, small_db, tmp_path):
+def test_summary_reports_reform_variables(query_paths, small_db, tmp_path):
+    """The reform stage reports the repetition classes it solved over and its
+    largest elimination table, in 03_assignment.json and summary.json."""
     cfg = PipelineConfig(contact_samples=3000, target_materials="all=wood")
     summary = run_pipeline(query_paths[1], None, cfg, tmp_path, db=small_db)
     assignment = json.loads((tmp_path / "03_assignment.json").read_text())
     reform = summary["stages"]["reform"]
-    assert reform["iterations"] == assignment["iterations"] >= 1
-    assert reform["converged"] == assignment["converged"]
+    assert set(assignment) == {"labels", "log_potential", "variables", "largest_table"}
+    assert 1 <= reform["variables"] == assignment["variables"] <= len(assignment["labels"])
+    assert reform["largest_table"] == assignment["largest_table"] >= 1
     assert json.loads((tmp_path / "summary.json").read_text())["stages"]["reform"] == reform
 
 

@@ -12,9 +12,10 @@ from types import SimpleNamespace
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
-# tracer names of kernels that the k-d tree search replaced
+# tracer names of kernels that the k-d tree search replaced, and of the loopy
+# BP that exact_map replaced; renaming them is ROADMAP item 11
 MISSING = {"kernels.min_sq_dist", "kernels.nearest_sq_dists",
-           "kernels.nearest_sq_sum_capped"}
+           "kernels.nearest_sq_sum_capped", "inference.run_loopy_bp"}
 
 
 def load_tracer():
@@ -54,13 +55,12 @@ def test_stage_writer_resolves_to_a_pipeline_function():
 def test_observers_read_only_fields_of_the_results():
     """The tracer's observers read attributes of the results of the calls
     they observe; a renamed or deleted field would fail every traced
-    request. Each observer runs here on a stand-in that has exactly the
-    fields of the observed function's annotated result type."""
+    request. The solve observer runs here on a stand-in that has exactly the
+    fields of the observed function's annotated result type. (The BP
+    observer watches ``inference.run_loopy_bp``, which is in ``MISSING``, so
+    it never runs.)"""
     tracer = load_tracer()
-    for name, observe in (("config_opt.optimize_configuration", tracer._observe_solve),
-                          ("inference.run_loopy_bp", tracer._observe_bp)):
-        short, attr = name.split(".")
-        fn = getattr(importlib.import_module(f"meshreform.{short}"), attr)
-        result_type = inspect.signature(fn).return_annotation
-        result = SimpleNamespace(**{f.name: 0 for f in dataclasses.fields(result_type)})
-        observe(defaultdict(float), (SimpleNamespace(domains=[]),), {}, result)
+    fn = importlib.import_module("meshreform.config_opt").optimize_configuration
+    result_type = inspect.signature(fn).return_annotation
+    result = SimpleNamespace(**{f.name: 0 for f in dataclasses.fields(result_type)})
+    tracer._observe_solve(defaultdict(float), (), {}, result)
