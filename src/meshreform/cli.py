@@ -26,6 +26,8 @@ def _load_config(args) -> pl.PipelineConfig:
     cfg = pl.PipelineConfig.load(args.config) if getattr(args, "config", None) \
         else pl.PipelineConfig()
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         cfg.seed = args.seed
     if getattr(args, "target_material", None):
         cfg.target_materials = _parse_targets(args.target_material)

@@ -267,8 +267,10 @@ def cluster_candidates(db: Database, k=CANDIDATES_K, seed=0) -> Database:
 # ---------------------------------------------------------------------------
 
 def save_database(db: Database, path):
+    # json.dump always runs the pure-Python encoder; dumps (without indent)
+    # runs the C one and writes the same bytes
     with open(path, "w") as fh:
-        json.dump({"version": DB_VERSION, **encode(db)}, fh)
+        fh.write(json.dumps({"version": DB_VERSION, **encode(db)}))
 
 
 def load_database(path) -> Database:

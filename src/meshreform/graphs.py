@@ -140,8 +140,11 @@ def build_contact_graph(model: Model, samples: dict,
         dmin = float(d_a.min())
         if dmin >= d_c:
             continue
-        d_b = cKDTree(a).query(b, distance_upper_bound=d_c)[0]
-        near = np.vstack([a[d_a < d_c], b[d_b < d_c]])
+        # Likewise an a-sample within d_c of a b-sample is itself near, so a
+        # tree over the near a-samples alone gives the same mask for b.
+        near_a = a[d_a < d_c]
+        d_b = cKDTree(near_a).query(b, distance_upper_bound=d_c)[0]
+        near = np.vstack([near_a, b[d_b < d_c]])
         graph.edges.append(ContactEdge(i, j, near.mean(axis=0), min_distance=dmin))
 
     # ground contacts (z-up convention)
@@ -259,11 +262,19 @@ def congruence_rms(desc_a: PartDescriptor, pts_a, desc_b: PartDescriptor, pts_b,
 def build_repetition_graph(model: Model, descriptors: dict,
                            samples: dict) -> RepetitionGraph:
     """Congruence edges between parts with matching extents and small aligned
-    RMS; the result is transitively closed into cliques."""
+    RMS; the result is transitively closed into cliques.
+
+    A pair already joined through earlier congruence edges is not checked:
+    the closure puts it in one class whatever its own RMS, so k congruent
+    copies cost at most k - 1 checks inside their class.
+    """
     ids = [p.id for p in model.parts]
     graph = RepetitionGraph(nodes=list(ids))
     direct = []
+    cls_of = {pid: {pid} for pid in ids}     # the class found so far
     for i, j in itertools.combinations(ids, 2):
+        if cls_of[i] is cls_of[j]:
+            continue
         ea, eb = descriptors[i].size_vec, descriptors[j].size_vec
         if (np.abs(ea - eb)
                 > CONGRUENCE_EXTENT_TOL * np.maximum(ea, eb) + 1e-12).any():
@@ -274,6 +285,9 @@ def build_repetition_graph(model: Model, descriptors: dict,
                              stop_below=0.5 * CONGRUENCE_RMS_TOL)
         if rms < CONGRUENCE_RMS_TOL:
             direct.append((i, j))
+            joined = cls_of[i] | cls_of[j]
+            for pid in joined:
+                cls_of[pid] = joined
     # transitive closure: each component becomes a clique
     for cls_ in connected_components(ids, direct):
         graph.edges.extend(itertools.combinations(cls_, 2))

@@ -59,9 +59,7 @@ class TriangleMesh:
 
     def face_normals(self):
         cr = self.face_cross()
-        n = np.linalg.norm(cr, axis=1)
-        n = np.where(n > 0, n, 1.0)
-        return cr / n[:, None]
+        return _unit_rows(cr, np.linalg.norm(cr, axis=1))
 
     def surface_area(self):
         return float(self.face_areas().sum())
@@ -81,6 +79,11 @@ class TriangleMesh:
         if translation is not None:
             v = v + translation
         return TriangleMesh(v, self.faces.copy())
+
+
+def _unit_rows(rows, lengths):
+    """``rows`` divided by their ``lengths``; zero-length rows stay zero."""
+    return rows / np.where(lengths > 0, lengths, 1.0)[:, None]
 
 
 @dataclass
@@ -303,13 +306,19 @@ def sample_surface(part: Part, n: int, seed=0) -> SurfaceSamples:
     """Draw ``n`` area-proportional surface samples, stratified by face.
 
     Counts per face are the largest-remainder apportionment of ``n`` by face
-    area; positions are uniform barycentric within each face. The RNG is
-    seeded per call so identical meshes sample identically regardless of
-    part order.
+    area; positions are uniform barycentric within each face,
+    ``a + u (b - a) + v (c - a)``. The samples of a face are consecutive, so
+    each per-face quantity (corner, edge vectors, unit normal) is computed
+    once per face and repeated by its count. The RNG is seeded per call so
+    identical meshes sample identically regardless of part order.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    areas = part.mesh.face_areas()
+    a, b, c = part.mesh.triangle_corners()
+    ab, ac = b - a, c - a
+    cross = np.cross(ab, ac)
+    length = np.linalg.norm(cross, axis=1)
+    areas = 0.5 * length
     total = areas.sum()
     if total <= DEGENERATE_AREA_TOL:
         raise ValueError(f"part {part.id} has degenerate (zero-area) surface")
@@ -322,14 +331,14 @@ def sample_surface(part: Part, n: int, seed=0) -> SurfaceSamples:
         counts[np.argsort(-frac, kind="stable")[:short]] += 1
 
     rng = np.random.default_rng(seed)
-    face_idx = np.repeat(np.arange(len(areas)), counts)
     u = rng.random(n)
     v = rng.random(n)
     flip = u + v > 1.0
-    u[flip] = 1.0 - u[flip]
-    v[flip] = 1.0 - v[flip]
-    a, b, c = part.mesh.triangle_corners()
-    a, b, c = a[face_idx], b[face_idx], c[face_idx]
-    pos = a + u[:, None] * (b - a) + v[:, None] * (c - a)
-    normals = part.mesh.face_normals()[face_idx]
+    u = np.where(flip, 1.0 - u, u)
+    v = np.where(flip, 1.0 - v, v)
+    pos = (np.repeat(a, counts, axis=0)
+           + u[:, None] * np.repeat(ab, counts, axis=0)
+           + v[:, None] * np.repeat(ac, counts, axis=0))
+    normals = np.repeat(_unit_rows(cross, length), counts, axis=0)
+    face_idx = np.repeat(np.arange(len(areas)), counts)
     return SurfaceSamples(pos, normals, face_idx)

@@ -69,6 +69,8 @@ class PipelineConfig:
             if not getattr(cfg, name) > 0:
                 raise ValueError(f"config {name} must be positive, "
                                  f"got {getattr(cfg, name)}")
+        if cfg.seed < 0:
+            raise ValueError(f"config seed must be non-negative, got {cfg.seed}")
         cfg.target_materials = _target_spec(cfg.target_materials)
         cfg.joint_overrides = _joint_overrides(cfg.joint_overrides)
         return cfg

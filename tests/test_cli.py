@@ -158,6 +158,7 @@ def test_missing_model_is_input_error(corpus, tmp_path, capsys):
     ({"thickness_bin": 0}, "thickness_bin"),
     ({"contact_samples": 0}, "contact_samples"),
     ({"d_c": -0.01}, "d_c"),
+    ({"seed": -5}, "config seed must be non-negative, got -5"),
 ])
 def test_bad_config_is_input_error(corpus, tmp_path, capsys, config, named):
     cfg = tmp_path / "cfg.json"
@@ -166,6 +167,23 @@ def test_bad_config_is_input_error(corpus, tmp_path, capsys, config, named):
                "--out", str(tmp_path / "db.json"), "--config", str(cfg)])
     assert rc == EXIT_INPUT
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, seed", [
+    ("ingest", "-1"), ("build-db", "-2"), ("gen-db", "-1"), ("pipeline", "-3"),
+])
+def test_negative_seed_flag_is_input_error(corpus, tmp_path, capsys,
+                                           command, seed):
+    """A negative --seed is named before any input is read or written."""
+    out = tmp_path / "out"
+    args = {"ingest": ["--model", corpus["query"]],
+            "build-db": ["--models", corpus["models"]],
+            "gen-db": [],
+            "pipeline": ["--model", corpus["query"], "--db", corpus["db"]]}
+    rc = main([command, *args[command], "--out", str(out), "--seed", seed])
+    assert rc == EXIT_INPUT
+    assert f"--seed must be non-negative, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config_spec, flag_spec", [

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from meshreform.codec import encode
-from meshreform.database import (AngleHistogram, Database, DatabaseSource,
-                                 DatabaseVersionError, build_database,
-                                 cluster_candidates, load_database,
-                                 part_feature, save_database, _index_model,
-                                 _kmeans)
+from meshreform.database import (DB_VERSION, AngleHistogram, Database,
+                                 DatabaseSource, DatabaseVersionError,
+                                 build_database, cluster_candidates,
+                                 load_database, part_feature, save_database,
+                                 _index_model, _kmeans)
 from meshreform.mesh import Material, Model
 from meshreform.pipeline import PipelineConfig, analyze_model
 from meshreform.synthetic import GeneratorConfig, wood_table
@@ -203,6 +203,15 @@ def test_roundtrip(tmp_path, small_db):
         assert np.allclose(a.orientation_vec, b.orientation_vec)
     for key in ("wood", "metal"):
         assert np.array_equal(small_db.histograms[key].bins, back.histograms[key].bins)
+
+
+def test_save_writes_json_dump_bytes(tmp_path, small_db):
+    """The C-encoded file is byte for byte what ``json.dump`` writes."""
+    path = tmp_path / "db.json"
+    save_database(small_db, path)
+    with open(tmp_path / "dump.json", "w") as fh:
+        json.dump({"version": DB_VERSION, **encode(small_db)}, fh)
+    assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
 
 
 def test_truncated_file_errors(tmp_path, small_db):

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from meshreform import synthetic
-from meshreform.graphs import (GROUND_ID, build_contact_graph,
+from meshreform import graphs, synthetic
+from meshreform.graphs import (CONGRUENCE_EXTENT_TOL, CONGRUENCE_MAX_POINTS,
+                               CONGRUENCE_RMS_TOL, CONTACT_SAMPLES,
+                               GROUND_ID, build_contact_graph,
                                build_repetition_graph, congruence_rms,
                                connected_components, estimate_contact_angle,
                                fold_angle_deg, annotate_contact_angles)
@@ -83,6 +86,50 @@ def test_contact_graph_matches_dense_reference(generator, seed):
     model = normalize_model(Model(parts=parts))
     dense = {p.id: sample_surface(p, 2000, seed=1) for p in model.parts}
     assert_edges_match_reference(model, dense, 0.01, min_edges=3)
+
+
+def contact_edges_whole_crop(model, samples, d_c):
+    """The contact scan with the second query against a tree over all of
+    the cropped ``a``: (i, j, contact point, min distance) per edge."""
+    pts = {p.id: samples[p.id].positions for p in model.parts}
+    edges = []
+    for i, j in itertools.combinations([p.id for p in model.parts], 2):
+        lo = np.maximum(pts[i].min(axis=0), pts[j].min(axis=0)) - d_c
+        hi = np.minimum(pts[i].max(axis=0), pts[j].max(axis=0)) + d_c
+        a = pts[i][((pts[i] >= lo) & (pts[i] <= hi)).all(axis=1)]
+        b = pts[j][((pts[j] >= lo) & (pts[j] <= hi)).all(axis=1)]
+        if len(a) == 0 or len(b) == 0:
+            continue
+        d_a = cKDTree(b).query(a, distance_upper_bound=d_c)[0]
+        if d_a.min() >= d_c:
+            continue
+        d_b = cKDTree(a).query(b, distance_upper_bound=d_c)[0]
+        near = np.vstack([a[d_a < d_c], b[d_b < d_c]])
+        edges.append((i, j, near.mean(axis=0), float(d_a.min())))
+    return edges
+
+
+@pytest.mark.parametrize("generator, seed", [
+    ("wood_table", 0), ("metal_table", 1), ("mixed_table", 2),
+    ("wood_bed", 3), ("metal_bed", 4),
+    ("wood_chair", 5), ("metal_chair", 6), ("mixed_chair", 7),
+])
+def test_near_only_second_query_is_bit_identical(generator, seed):
+    """Querying ``b`` against the near ``a``-samples alone gives the edges,
+    contact points and distances of the query against all of the crop, bit
+    for bit, at the contact samples ``analyze_model`` draws."""
+    parts = getattr(synthetic, generator)(np.random.default_rng(seed),
+                                          synthetic.GeneratorConfig()).parts
+    model = normalize_model(Model(parts=parts))
+    dense = {p.id: sample_surface(p, CONTACT_SAMPLES, seed=1)
+             for p in model.parts}
+    got = build_contact_graph(model, dense, d_c=0.01).part_edges()
+    want = contact_edges_whole_crop(model, dense, 0.01)
+    assert len(want) >= 3
+    assert [(e.i, e.j) for e in got] == [(i, j) for i, j, _, _ in want]
+    for e, (_, _, point, dmin) in zip(got, want):
+        assert np.array_equal(e.contact_point, point)
+        assert e.min_distance == dmin
 
 
 def _samples(pos):
@@ -355,6 +402,63 @@ def test_congruence_invariant_under_model_rotation():
         samples, _, descs = analyzed(model)
         rep = build_repetition_graph(model, descs, samples)
         assert (0, 1) in rep.edges
+
+
+def repetition_edges_all_pairs(model, descriptors, samples):
+    """The repetition scan that checks every pair with matching extents,
+    closed into cliques."""
+    ids = [p.id for p in model.parts]
+    direct = []
+    for i, j in itertools.combinations(ids, 2):
+        ea, eb = descriptors[i].size_vec, descriptors[j].size_vec
+        if (np.abs(ea - eb) > CONGRUENCE_EXTENT_TOL * np.maximum(ea, eb)
+                + 1e-12).any():
+            continue
+        pa = samples[i].positions[:CONGRUENCE_MAX_POINTS]
+        pb = samples[j].positions[:CONGRUENCE_MAX_POINTS]
+        if congruence_rms(descriptors[i], pa, descriptors[j], pb,
+                          stop_below=0.5 * CONGRUENCE_RMS_TOL) < CONGRUENCE_RMS_TOL:
+            direct.append((i, j))
+    return [e for cls_ in connected_components(ids, direct)
+            for e in itertools.combinations(cls_, 2)]
+
+
+def _two_classes():
+    """Four legs and three rails: two classes of different extents."""
+    legs = [make_box_part(i, [x, 0, 0.35], [0.06, 0.06, 0.7])
+            for i, x in enumerate([-0.45, -0.15, 0.15, 0.45])]
+    rails = [make_box_part(4 + k, [0, 0.3 * k - 0.3, 0.75], [1.0, 0.05, 0.04])
+             for k in range(3)]
+    return rails[:1] + legs + rails[1:]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: synthetic.wood_chair(np.random.default_rng(3),
+                                 synthetic.GeneratorConfig(), n_slats=6).parts,
+    lambda: synthetic.wood_bed(np.random.default_rng(4),
+                               synthetic.GeneratorConfig(), n_slats=5).parts,
+    _two_classes,
+], ids=["wood_chair_6_slats", "wood_bed_5_slats", "two_classes"])
+def test_repetition_skips_pairs_already_in_one_class(build, monkeypatch):
+    """Skipping pairs the closure already joined keeps the all-pairs edges,
+    and k congruent copies cost at most k - 1 checks inside their class."""
+    model = normalize_model(Model(parts=build()))
+    samples, _, descs = analyzed(model)
+    want = repetition_edges_all_pairs(model, descs, samples)
+    pid_of = {id(d): pid for pid, d in descs.items()}
+    checked = []
+
+    def counting(desc_a, pts_a, desc_b, pts_b, stop_below=None):
+        checked.append({pid_of[id(desc_a)], pid_of[id(desc_b)]})
+        return congruence_rms(desc_a, pts_a, desc_b, pts_b, stop_below)
+
+    monkeypatch.setattr(graphs, "congruence_rms", counting)
+    rep = build_repetition_graph(model, descs, samples)
+    assert rep.edges == want
+    classes = [c for c in rep.classes() if len(c) > 1]
+    assert len(classes) >= 2 and max(map(len, classes)) >= 3
+    for cls_ in classes:
+        assert sum(pair <= set(cls_) for pair in checked) <= len(cls_) - 1
 
 
 def capped_sum(query, ref, cap):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from meshreform.mesh import (Material, MeshParseError, Model, Part,
-                             load_model, normalize_model, sample_surface,
-                             save_model)
+                             TriangleMesh, load_model, normalize_model,
+                             sample_surface, save_model)
+from meshreform.synthetic import arc_tube, rod_part
 from conftest import make_box_part
 
 CUBE_PAIR = """\
@@ -160,7 +161,6 @@ def test_normalize_records_scale():
 
 
 def test_normalize_zero_extent_errors():
-    from meshreform.mesh import TriangleMesh
     flat = TriangleMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
     with pytest.raises(ValueError):
         normalize_model(Model(parts=[Part(id=0, mesh=flat)]))
@@ -225,7 +225,64 @@ def test_sampling_barycentric_containment():
 
 
 def test_sampling_zero_area_errors():
-    from meshreform.mesh import TriangleMesh
     degenerate = TriangleMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
     with pytest.raises(ValueError):
         sample_surface(Part(id=0, mesh=degenerate), 10)
+
+
+def sample_surface_gather(part, n, seed=0):
+    """The per-sample gather formulation: corners and normals indexed by
+    each sample's face."""
+    areas = part.mesh.face_areas()
+    quota = n * areas / areas.sum()
+    counts = np.floor(quota).astype(np.int64)
+    short = n - int(counts.sum())
+    if short > 0:
+        counts[np.argsort(-(quota - counts), kind="stable")[:short]] += 1
+    rng = np.random.default_rng(seed)
+    face_idx = np.repeat(np.arange(len(areas)), counts)
+    u = rng.random(n)
+    v = rng.random(n)
+    flip = u + v > 1.0
+    u[flip] = 1.0 - u[flip]
+    v[flip] = 1.0 - v[flip]
+    a, b, c = part.mesh.triangle_corners()
+    a, b, c = a[face_idx], b[face_idx], c[face_idx]
+    pos = a + u[:, None] * (b - a) + v[:, None] * (c - a)
+    return pos, part.mesh.face_normals()[face_idx], face_idx
+
+
+def _with_zero_area_face():
+    """A box plus one face on three collinear vertices."""
+    box = make_box_part(0, [0.1, 0.2, 0.3], [0.7, 0.2, 0.4]).mesh
+    verts = np.vstack([box.vertices, [[0, 0, 0], [1, 1, 1], [2, 2, 2]]])
+    n = len(box.vertices)
+    faces = np.vstack([box.faces[:5], [[n, n + 1, n + 2]], box.faces[5:]])
+    return Part(id=0, mesh=TriangleMesh(verts, faces))
+
+
+SAMPLED_PARTS = {
+    "box": lambda: make_box_part(0, [1, 2, 3], [2, 0.5, 1]),
+    "rod": lambda: Part(id=0, mesh=rod_part([0.1, 0, 0.2], [0.5, 0.3, 0.9],
+                                            0.04, 0.03)),
+    "arc_tube": lambda: Part(id=0, mesh=arc_tube([0, 0, 0.5], 0.4, 0.2, 2.1,
+                                                 0.05, segments=16)),
+    "zero_area_face": _with_zero_area_face,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_PARTS))
+@pytest.mark.parametrize("n, seed_offset", [(1000, 0), (8000, 1), (7, 0)],
+                         ids=["descriptor", "contact", "fewer_than_faces"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_sampling_matches_gather_formulation(name, n, seed_offset, seed):
+    """Run-length sampling gives the gather formulation's samples bit for
+    bit, at the descriptor (1000, seed) and contact (8000, seed + 1) settings
+    of ``analyze_model`` and with fewer samples than faces."""
+    part = SAMPLED_PARTS[name]()
+    assert part.mesh.n_faces > 7
+    got = sample_surface(part, n, seed=seed + seed_offset)
+    pos, normals, face_idx = sample_surface_gather(part, n, seed=seed + seed_offset)
+    assert np.array_equal(got.positions, pos)
+    assert np.array_equal(got.normals, normals)
+    assert np.array_equal(got.face_indices, face_idx)

@@ -197,6 +197,14 @@ def test_config_non_positive_setting_is_rejected(key, value):
         PipelineConfig.from_json({key: value})
 
 
+@pytest.mark.parametrize("value", [-1, -5])
+def test_config_negative_seed_is_rejected(value):
+    with pytest.raises(ValueError,
+                       match=f"seed must be non-negative, got {value}"):
+        PipelineConfig.from_json({"seed": value})
+    assert PipelineConfig.from_json({"seed": 0}).seed == 0
+
+
 def test_config_float_field_accepts_int():
     assert PipelineConfig.from_json({"d_c": 1, "seed": 2}).d_c == 1
 
