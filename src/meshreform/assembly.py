@@ -14,6 +14,8 @@ logger = logging.getLogger(__name__)
 
 # surface samples per side of a placement's alignment RMS
 RMS_POINTS = 400
+# surface samples of a placed part for contact restoration's foot points
+_PLACED_SAMPLES = 2000
 
 # sign patterns of proper rotations when axes are matched by extent order
 _PROPER_SIGNS = np.array([
@@ -47,9 +49,9 @@ class PlacedPart:
         src = db.part(self.source_index).mesh
         return TriangleMesh(self.transform_points(src.vertices), src.faces.copy())
 
-    def placed_samples(self, db, n=2000, seed=0) -> SurfaceSamples:
+    def placed_samples(self, db, seed=0) -> SurfaceSamples:
         mesh = self.placed_mesh(db)
-        return sample_surface(Part(id=self.part_id, mesh=mesh), n, seed=seed)
+        return sample_surface(Part(id=self.part_id, mesh=mesh), _PLACED_SAMPLES, seed=seed)
 
 
 def place_replacements(descriptors: dict, assignment, db, query_samples: dict,

@@ -128,6 +128,8 @@ def cmd_pipeline(args):
 
 
 def cmd_validate(args):
+    if not (args.db or args.model):
+        raise ValueError("validate needs --db, --model or both")
     if args.db:
         db = load_database(args.db)
         freqs = {k: h.frequencies().sum() for k, h in db.histograms.items()

@@ -20,6 +20,7 @@ ANGLE_BIN_WIDTH = 5.0
 ANGLE_BIN_COUNT = 18
 FEASIBILITY_THRESHOLD = 0.03
 CANDIDATES_K = 80
+_KMEANS_MAX_ITERS = 100   # Lloyd iterations cap
 
 
 class DatabaseVersionError(ValueError):
@@ -204,7 +205,7 @@ def part_feature(part: ExemplarPart):
                      d.area_ratio, d.thickness])
 
 
-def _kmeans(features, k, seed, max_iters=100):
+def _kmeans(features, k, seed):
     """Deterministic k-means++ / Lloyd. Returns (labels, centers, sse_trace)."""
     rng = np.random.default_rng(seed)
     n = len(features)
@@ -221,7 +222,7 @@ def _kmeans(features, k, seed, max_iters=100):
 
     labels = np.zeros(n, dtype=int)
     sse_trace = []
-    for _ in range(max_iters):
+    for _ in range(_KMEANS_MAX_ITERS):
         dist = ((features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = dist.argmin(axis=1)
         sse_trace.append(float(dist[np.arange(n), new_labels].sum()))

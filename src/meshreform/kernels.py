@@ -13,6 +13,7 @@ here: the contact graph, congruence and placement query
 import numpy as np
 
 _EPS_DET = 1e-14
+_MIN_T = 1e-9
 
 # No compiled kernel path exists; perfbench/run.py prints this value.
 USE_NUMBA = False
@@ -22,11 +23,11 @@ USE_NUMBA = False
 # ray / mesh first hit (Moller-Trumbore, no backface culling)
 # ---------------------------------------------------------------------------
 
-def ray_mesh_first_hit(origins, dirs, v0, v1, v2, min_t=1e-9):
+def ray_mesh_first_hit(origins, dirs, v0, v1, v2):
     """Distance along each ray to its first triangle hit (inf if none).
 
     origins, dirs: (n, 3); v0, v1, v2: (m, 3) triangle corners. Hits at
-    parameter <= min_t are ignored so rays cast from the surface skip their
+    parameter <= _MIN_T are ignored so rays cast from the surface skip their
     own face.
     """
     n = origins.shape[0]
@@ -57,7 +58,7 @@ def ray_mesh_first_hit(origins, dirs, v0, v1, v2, min_t=1e-9):
         qz = tx * e1y - ty * e1x
         v = (dx * qx + dy * qy + dz * qz) * inv
         t = (e2x * qx + e2y * qy + e2z * qz) * inv
-        hit = ok & (u >= -1e-12) & (v >= -1e-12) & (u + v <= 1.0 + 1e-12) & (t > min_t)
+        hit = ok & (u >= -1e-12) & (v >= -1e-12) & (u + v <= 1.0 + 1e-12) & (t > _MIN_T)
         out[s:s + chunk] = t.min(axis=1, initial=np.inf, where=hit)
     return out
 

@@ -124,9 +124,15 @@ def min_area_rect(points2d):
     return best
 
 
-def fit_points_obb(points, max_rounds=20, vol_tol=1e-8) -> OrientedBox:
+# caliper refinement stops after this many rounds, or once a round shrinks
+# the box volume by less than this fraction
+_FIT_MAX_ROUNDS = 20
+_FIT_VOL_TOL = 1e-8
+
+
+def fit_points_obb(points) -> OrientedBox:
     """PCA box refined with per-axis rotating calipers until the relative
-    volume improvement drops below ``vol_tol`` (or ``max_rounds``)."""
+    volume improvement drops below ``_FIT_VOL_TOL`` (or ``_FIT_MAX_ROUNDS``)."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(points) == 0:
         raise ValueError("no points")
@@ -138,7 +144,7 @@ def fit_points_obb(points, max_rounds=20, vol_tol=1e-8) -> OrientedBox:
         return box
 
     box = _box_from_axes(points, pca_axes(points))
-    for _ in range(max_rounds):
+    for _ in range(_FIT_MAX_ROUNDS):
         prev = box.volume
         for k in range(3):
             fixed = box.axes[k]
@@ -156,7 +162,7 @@ def fit_points_obb(points, max_rounds=20, vol_tol=1e-8) -> OrientedBox:
             cand = _box_from_axes(points, new_axes)
             if cand.volume <= box.volume:
                 box = cand
-        if prev <= 0 or (prev - box.volume) / prev < vol_tol:
+        if prev <= 0 or (prev - box.volume) / prev < _FIT_VOL_TOL:
             break
     return box
 

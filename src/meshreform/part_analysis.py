@@ -47,7 +47,6 @@ class PartDescriptor:
 class ThicknessEstimate(NamedTuple):
     value: float
     fallback: bool
-    hit_fraction: float
 
 
 def fit_obb(part: Part) -> OrientedBox:
@@ -76,11 +75,11 @@ def estimate_thickness(part: Part, samples: SurfaceSamples,
     if len(hits) == 0:
         if obb is None:
             obb = fit_obb(part)
-        return ThicknessEstimate(float(obb.extents.min()), True, 0.0)
+        return ThicknessEstimate(float(obb.extents.min()), True)
     bins = np.floor(hits / bin_width).astype(np.int64)
     counts = np.bincount(bins)
     winner = int(np.argmax(counts))
-    return ThicknessEstimate((winner + 0.5) * bin_width, False, len(hits) / len(samples))
+    return ThicknessEstimate((winner + 0.5) * bin_width, False)
 
 
 def describe_part(part: Part, obb: OrientedBox, thickness: ThicknessEstimate,

@@ -291,7 +291,7 @@ def _reformed(placed: dict, edges, materials, repetition, db,
     for pid, p in placed.items():
         part = Part(id=pid, mesh=p.placed_mesh(db))
         src = db.part(p.source_index).descriptor
-        thickness = ThicknessEstimate(src.thickness, src.thickness_fallback, 0.0)
+        thickness = ThicknessEstimate(src.thickness, src.thickness_fallback)
         descriptors[pid] = describe_part(part, p.box, thickness,
                                          p.transform_points(src.barycenter)[0])
         samples[pid] = sample_surface(part, SURFACE_SAMPLES, seed=cfg.seed)

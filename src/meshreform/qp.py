@@ -42,7 +42,12 @@ def _solve_working_set(x0, G, h, active):
     return sol[:n], sol[n:]
 
 
-def solve_min_change_qp(x0, G, h, tol=1e-10, max_iter=500):
+# multiplier and (relative) violation tolerance, and active-set iteration cap
+_TOL = 1e-10
+_MAX_ITER = 500
+
+
+def solve_min_change_qp(x0, G, h):
     """Returns (x, active_indices, multipliers).
 
     KKT at the solution: x = x0 - G_A^T lam / 2 with lam >= 0 and
@@ -55,14 +60,14 @@ def solve_min_change_qp(x0, G, h, tol=1e-10, max_iter=500):
     active = []
 
     x, lam = x0.copy(), np.zeros(0)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         res = _solve_working_set(x0, G, h, active)
         if res is None:
             raise QPInfeasibleError("inconsistent working set",
                                     constraint_index=active[-1] if active else None)
         x, lam = res
 
-        if len(lam) and lam.min() < -tol:
+        if len(lam) and lam.min() < -_TOL:
             active.pop(int(np.argmin(lam)))
             continue
 
@@ -70,7 +75,7 @@ def solve_min_change_qp(x0, G, h, tol=1e-10, max_iter=500):
             return x, active, lam
         viol = G @ x - h
         scale = max(1.0, float(np.abs(h).max()))
-        order = [int(k) for k in np.argsort(-viol) if viol[k] > tol * scale]
+        order = [int(k) for k in np.argsort(-viol) if viol[k] > _TOL * scale]
         if not order:
             return x, list(active), lam
         added = False

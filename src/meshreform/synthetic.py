@@ -11,6 +11,20 @@ rulebook:
 * wood-metal: wood board -> bracket, wood rod -> screw
 * metal-metal: tube-tube -> weld, sheet involved -> bolt
 
+Each generator composes one private helper per furniture idiom:
+``_corner_posts`` (four upright rods), ``_splayed_legs`` (four metal legs at
+one drawn angle), ``_top`` (a board on the legs), ``_rails`` (a rod between
+each pair of legs), ``_back`` (a chair back of two posts and slats),
+``_carcass`` (a cabinet's five panels) and ``_wood_tilt`` (the jitter that
+tilts a wood rail, slat, stretcher or apron off level). The benchmark draws
+all ten generators through ``generate_synthetic_database`` for build-db and
+for the reform database, and ``mixed_table``, ``metal_bed`` and
+``metal_cabinet`` as reform-to-wood queries.
+
+``rod_part`` and ``arc_tube`` are wound inside out (their face normals point
+into the part), so inward-ray thickness voting misses on them and their
+thickness is the OBB fallback; ``box_part`` is wound outwards.
+
 Output is deterministic per seed.
 """
 
@@ -23,12 +37,16 @@ from .database import DatabaseSource
 from .mesh import Material, Model, Part, TriangleMesh
 from .obb import OrientedBox, box_mesh
 
+# a rod's cross-section is oriented by this direction, or by +x when the
+# rod is within about 18 degrees of it
+_ROD_UP = np.array([0.0, 0.0, 1.0])
+
 
 def box_part(center, dims) -> TriangleMesh:
     return box_mesh(OrientedBox(center, np.eye(3), 0.5 * np.asarray(dims, dtype=float)))
 
 
-def rod_part(p0, p1, width, height=None, up=(0.0, 0.0, 1.0)) -> TriangleMesh:
+def rod_part(p0, p1, width, height=None) -> TriangleMesh:
     """Box swept from p0 to p1 with a width x height cross-section."""
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
@@ -36,7 +54,7 @@ def rod_part(p0, p1, width, height=None, up=(0.0, 0.0, 1.0)) -> TriangleMesh:
     axis = p1 - p0
     length = np.linalg.norm(axis)
     axis = axis / length
-    up = np.asarray(up, dtype=float)
+    up = _ROD_UP
     if abs(float(axis @ up)) > 0.95:
         up = np.array([1.0, 0.0, 0.0])
     side = np.cross(axis, up)
@@ -99,6 +117,11 @@ class GeneratorConfig:
                  ("bed", self.beds), ("cabinet", self.cabinets))}
 
 
+# a part's kind fixes its material
+_MATERIAL = {"rod": Material.WOOD, "board": Material.WOOD,
+             "tube": Material.METAL, "sheet": Material.METAL}
+
+
 class _Builder:
     """Accumulates parts and joint tags for one model."""
 
@@ -107,17 +130,18 @@ class _Builder:
         self.tags = {}
         self.kinds = {}   # name -> "rod" | "board" | "tube" | "sheet"
 
-    def add(self, name, mesh, material, kind):
+    def add(self, name, mesh, kind):
         self.parts.append(Part(id=len(self.parts), mesh=mesh,
-                               material=material, name=name))
+                               material=_MATERIAL[kind], name=name))
         self.kinds[name] = kind
         return name
 
-    def join(self, a, b):
-        mat_a = next(p.material for p in self.parts if p.name == a)
-        mat_b = next(p.material for p in self.parts if p.name == b)
-        self.tags[frozenset((a, b))] = rule_joint_kind(
-            self.kinds[a], mat_a, self.kinds[b], mat_b)
+    def join(self, a, *others):
+        """Tag the joint between part ``a`` and each of ``others``."""
+        for o in others:
+            ka, ko = self.kinds[a], self.kinds[o]
+            self.tags[frozenset((a, o))] = rule_joint_kind(
+                ka, _MATERIAL[ka], ko, _MATERIAL[ko])
 
     def source(self, name):
         return DatabaseSource(model=Model(parts=self.parts), name=name,
@@ -142,10 +166,94 @@ def rule_joint_kind(kind_a, mat_a, kind_b, mat_b):
     return "screw" if wood_kind in linear else "bracket"
 
 
-def _jitter_angle(rng, jitter_deg):
-    """Deviation (radians) from a right angle, clipped to the jitter."""
-    return math.radians(float(np.clip(rng.normal(0.0, jitter_deg / 2.0),
-                                      -jitter_deg, jitter_deg)))
+# ---------------------------------------------------------------------------
+# furniture idioms
+# ---------------------------------------------------------------------------
+
+_CORNERS = ((-1, -1), (1, -1), (-1, 1), (1, 1))
+_SIDES = ((0, 1), (2, 3), (0, 2), (1, 3))   # corner pairs along x, then y
+
+
+def _corner_at(half_x, half_y):
+    """``at(k, z)``: the point at height z over corner k of the rectangle
+    with half sides half_x, half_y."""
+    return lambda k, z: np.array([_CORNERS[k][0] * half_x, _CORNERS[k][1] * half_y, z])
+
+
+def _corner_posts(b, name, half_x, half_y, tops, width, kind):
+    """Four upright rods at the rectangle's corners, rod k from the floor to
+    ``tops[k]``; returns their names and the corners' ``at``."""
+    at = _corner_at(half_x, half_y)
+    return [b.add(f"{name}_{k}", rod_part(at(k, 0), at(k, top), width), kind)
+            for k, top in enumerate(tops)], at
+
+
+def _splayed_legs(b, rng, cfg, w, d, h, c):
+    """Four metal tubes of width c from the corners of a w x d top at height
+    h, splayed outwards at one angle to the floor drawn from
+    ``cfg.metal_angle_range``; returns their names and ``at(k, z)``, the
+    point of leg k at height z."""
+    spread = h / math.tan(math.radians(rng.uniform(*cfg.metal_angle_range)))
+    ends = []
+    for sx, sy in _CORNERS:
+        top = np.array([sx * (w / 2 - c), sy * (d / 2 - c), h])
+        ends.append((top + np.array([sx * spread, sy * spread, -h]), top))
+    legs = [b.add(f"leg_{k}", rod_part(foot, top, c), "tube")
+            for k, (foot, top) in enumerate(ends)]
+    return legs, lambda k, z: ends[k][0] + z / h * (ends[k][1] - ends[k][0])
+
+
+def _top(b, name, legs, w, d, z, t, kind):
+    """A w x d board of thickness t lying at height z, joined to every leg."""
+    top = b.add(name, box_part([0, 0, z + t / 2], [w, d, t]), kind)
+    b.join(top, *legs)
+    return top
+
+
+def _rails(b, name, legs, at, pairs, heights, width, kind):
+    """A rod from ``at(a, za)`` to ``at(c, zc)`` for each leg pair (a, c),
+    with ``za, zc = heights(a, c)``; each rod joins both legs."""
+    for k, (a, c) in enumerate(pairs):
+        za, zc = heights(a, c)
+        rail = b.add(f"{name}_{k}", rod_part(at(a, za), at(c, zc), width), kind)
+        b.join(rail, legs[a], legs[c])
+
+
+def _wood_tilt(rng, cfg, span, z):
+    """End heights of a wood member of length ``span`` centred at height z,
+    tilted off level by a normal jitter clipped to ``cfg.wood_jitter_deg``."""
+    jitter = cfg.wood_jitter_deg
+    dev = math.radians(float(np.clip(rng.normal(0.0, jitter / 2.0), -jitter, jitter)))
+    dz = span * math.tan(dev)
+    return z - dz / 2, z + dz / 2
+
+
+def _back(b, rng, cfg, seat, half_w, y, z0, back_h, t, fracs):
+    """A chair back: two wood posts of width t at (+-half_w, y), rising
+    back_h from z0 and joined to the seat, and a tilted slat between them at
+    each height z0 + back_h * f; returns the posts."""
+    posts = [b.add(f"post_{k}", rod_part([sx * half_w, y, z0],
+                                         [sx * half_w, y, z0 + back_h], t), "rod")
+             for k, sx in enumerate((-1, 1))]
+    b.join(seat, *posts)
+    x0, x1 = -half_w + t / 2, half_w - t / 2
+    for k, f in enumerate(fracs):
+        z_lo, z_hi = _wood_tilt(rng, cfg, x1 - x0, z0 + back_h * f)
+        slat = b.add(f"slat_{k}", rod_part([x0, y, z_lo], [x1, y, z_hi], t * 0.85), "rod")
+        b.join(slat, *posts)
+    return posts
+
+
+def _carcass(b, w, d, h, t, kind):
+    """A cabinet's left, right, top, bottom and back panels of thickness t."""
+    b.add("left", box_part([-(w - t) / 2, 0, h / 2], [t, d, h]), kind)
+    b.add("right", box_part([(w - t) / 2, 0, h / 2], [t, d, h]), kind)
+    b.add("top", box_part([0, 0, h - t / 2], [w - 2 * t, d, t]), kind)
+    b.add("bottom", box_part([0, 0, t / 2], [w - 2 * t, d, t]), kind)
+    b.add("back", box_part([0, (d - t) / 2, h / 2], [w - 2 * t, t, h - 2 * t]), kind)
+    b.join("left", "top", "bottom")
+    b.join("right", "top", "bottom")
+    b.join("back", "left", "right")
 
 
 # ---------------------------------------------------------------------------
@@ -162,55 +270,14 @@ def wood_chair(rng, cfg: GeneratorConfig, n_stretchers=2, n_slats=2) -> _Builder
     t = diag * rng.uniform(*cfg.wood_thickness)
     ts = diag * rng.uniform(*cfg.wood_thickness)
 
-    legs = []
-    inset = t / 2
-    for k, (sx, sy) in enumerate([(-1, -1), (1, -1), (-1, 1), (1, 1)]):
-        x = sx * (w / 2 - inset)
-        y = sy * (d / 2 - inset)
-        legs.append(b.add(f"leg_{k}", rod_part([x, y, 0], [x, y, seat_z], t),
-                          Material.WOOD, "rod"))
-    seat = b.add("seat", box_part([0, 0, seat_z + ts / 2], [w, d, ts]),
-                 Material.WOOD, "board")
-    for leg in legs:
-        b.join(leg, seat)
-
-    posts = []
-    for k, sx in enumerate((-1, 1)):
-        x = sx * (w / 2 - inset)
-        y = d / 2 - inset
-        posts.append(b.add(f"post_{k}",
-                           rod_part([x, y, seat_z + ts], [x, y, seat_z + ts + back_h], t),
-                           Material.WOOD, "rod"))
-        b.join(posts[-1], seat)
-
-    x0 = -(w / 2 - inset) + t / 2
-    x1 = (w / 2 - inset) - t / 2
-    for k in range(n_slats):
-        z = seat_z + ts + back_h * (0.35 + 0.5 * (k + 1) / (n_slats + 1))
-        dev = _jitter_angle(rng, cfg.wood_jitter_deg)
-        dz = (x1 - x0) * math.tan(dev)
-        name = b.add(f"slat_{k}", rod_part([x0, d / 2 - inset, z - dz / 2],
-                                           [x1, d / 2 - inset, z + dz / 2], t * 0.85),
-                     Material.WOOD, "rod")
-        b.join(name, posts[0])
-        b.join(name, posts[1])
-
-    pairs = [(0, 1), (2, 3), (0, 2), (1, 3)]
-    for k in range(min(n_stretchers, 4)):
-        a, c = pairs[k]
-        pa = np.array([[-1, -1], [1, -1], [-1, 1], [1, 1]][a], dtype=float)
-        pc = np.array([[-1, -1], [1, -1], [-1, 1], [1, 1]][c], dtype=float)
-        start = np.array([pa[0] * (w / 2 - inset), pa[1] * (d / 2 - inset), 0.0])
-        end = np.array([pc[0] * (w / 2 - inset), pc[1] * (d / 2 - inset), 0.0])
-        z = seat_z * (0.25 + 0.1 * rng.random())
-        dev = _jitter_angle(rng, cfg.wood_jitter_deg)
-        span = np.linalg.norm(end - start)
-        dz = span * math.tan(dev)
-        name = b.add(f"stretcher_{k}",
-                     rod_part(start + [0, 0, z - dz / 2], end + [0, 0, z + dz / 2], t * 0.85),
-                     Material.WOOD, "rod")
-        b.join(name, legs[a])
-        b.join(name, legs[c])
+    legs, at = _corner_posts(b, "leg", w / 2 - t / 2, d / 2 - t / 2, (seat_z,) * 4, t, "rod")
+    seat = _top(b, "seat", legs, w, d, seat_z, ts, "board")
+    _back(b, rng, cfg, seat, w / 2 - t / 2, d / 2 - t / 2, seat_z + ts, back_h, t,
+          [0.35 + 0.5 * (k + 1) / (n_slats + 1) for k in range(n_slats)])
+    _rails(b, "stretcher", legs, at, _SIDES[:max(n_stretchers, 0)],
+           lambda a, c: _wood_tilt(rng, cfg, np.linalg.norm(at(c, 0) - at(a, 0)),
+                                   seat_z * (0.25 + 0.1 * rng.random())),
+           t * 0.85, "rod")
     return b
 
 
@@ -223,33 +290,12 @@ def wood_table(rng, cfg: GeneratorConfig) -> _Builder:
     t = diag * rng.uniform(*cfg.wood_thickness)
     tt = diag * rng.uniform(*cfg.wood_thickness)
 
-    legs = []
-    inset = t / 2
-    corners = [(-1, -1), (1, -1), (-1, 1), (1, 1)]
-    for k, (sx, sy) in enumerate(corners):
-        x = sx * (w / 2 - inset)
-        y = sy * (d / 2 - inset)
-        legs.append(b.add(f"leg_{k}", rod_part([x, y, 0], [x, y, h], t),
-                          Material.WOOD, "rod"))
-    top = b.add("top", box_part([0, 0, h + tt / 2], [w, d, tt]), Material.WOOD, "board")
-    for leg in legs:
-        b.join(leg, top)
-
-    apron_pairs = [(0, 1), (2, 3), (0, 2), (1, 3)]
-    for k, (a, c) in enumerate(apron_pairs):
-        pa = np.array(corners[a], dtype=float)
-        pc = np.array(corners[c], dtype=float)
-        z = h * (0.82 + 0.05 * rng.random())
-        dev = _jitter_angle(rng, cfg.wood_jitter_deg)
-        start = np.array([pa[0] * (w / 2 - inset), pa[1] * (d / 2 - inset), 0.0])
-        end = np.array([pc[0] * (w / 2 - inset), pc[1] * (d / 2 - inset), 0.0])
-        span = np.linalg.norm(end - start)
-        dz = span * math.tan(dev)
-        name = b.add(f"apron_{k}",
-                     rod_part(start + [0, 0, z - dz / 2], end + [0, 0, z + dz / 2], t * 0.9),
-                     Material.WOOD, "rod")
-        b.join(name, legs[a])
-        b.join(name, legs[c])
+    legs, at = _corner_posts(b, "leg", w / 2 - t / 2, d / 2 - t / 2, (h,) * 4, t, "rod")
+    _top(b, "top", legs, w, d, h, tt, "board")
+    _rails(b, "apron", legs, at, _SIDES,
+           lambda a, c: _wood_tilt(rng, cfg, np.linalg.norm(at(c, 0) - at(a, 0)),
+                                   h * (0.82 + 0.05 * rng.random())),
+           t * 0.9, "rod")
     return b
 
 
@@ -262,38 +308,21 @@ def wood_bed(rng, cfg: GeneratorConfig, n_slats=3) -> _Builder:
     diag = math.sqrt(length ** 2 + width ** 2 + (h + head_h) ** 2)
     t = diag * rng.uniform(*cfg.wood_thickness)
 
-    posts = []
-    for k, (sx, sy) in enumerate([(-1, -1), (1, -1), (-1, 1), (1, 1)]):
-        x = sx * (length / 2 - t / 2)
-        y = sy * (width / 2 - t / 2)
-        top = h + (head_h if sx < 0 else 0.0)
-        posts.append(b.add(f"post_{k}", rod_part([x, y, 0], [x, y, top], t),
-                           Material.WOOD, "rod"))
-    rails = []
-    for k, sy in enumerate((-1, 1)):
-        y = sy * (width / 2 - t / 2)
-        dev = _jitter_angle(rng, cfg.wood_jitter_deg)
-        dz = (length - t) * math.tan(dev)
-        rails.append(b.add(f"rail_{k}",
-                           rod_part([-(length / 2 - t), y, h - dz / 2],
-                                    [length / 2 - t, y, h + dz / 2], t * 0.95),
-                           Material.WOOD, "rod"))
-        b.join(rails[-1], posts[0 if sy < 0 else 2])
-        b.join(rails[-1], posts[1 if sy < 0 else 3])
+    y = width / 2 - t / 2
+    posts, _ = _corner_posts(b, "post", length / 2 - t / 2, y,
+                             (h + head_h, h, h + head_h, h), t, "rod")
+    # The side rails end half a post inside the posts' centres, so they span
+    # length - 2t; their tilt is drawn over length - t all the same.
+    _rails(b, "rail", posts, _corner_at(length / 2 - t, y), ((0, 1), (2, 3)),
+           lambda a, c: _wood_tilt(rng, cfg, length - t, h), t * 0.95, "rod")
     for k in range(n_slats):
         x = -length / 2 + (k + 1) * length / (n_slats + 1)
-        dev = _jitter_angle(rng, cfg.wood_jitter_deg)
-        dz = (width - t) * math.tan(dev)
-        name = b.add(f"slat_{k}",
-                     rod_part([x, -(width / 2 - t / 2), h + t * 0.85 - dz / 2],
-                              [x, width / 2 - t / 2, h + t * 0.85 + dz / 2], t * 0.85),
-                     Material.WOOD, "rod")
-        b.join(name, rails[0])
-        b.join(name, rails[1])
+        z_lo, z_hi = _wood_tilt(rng, cfg, width - t, h + t * 0.85)
+        slat = b.add(f"slat_{k}", rod_part([x, -y, z_lo], [x, y, z_hi], t * 0.85), "rod")
+        b.join(slat, "rail_0", "rail_1")
     head = b.add("headboard", box_part([-(length / 2 - t / 2), 0, h + head_h / 2],
-                                       [t, width, head_h]), Material.WOOD, "board")
-    b.join(head, posts[0])
-    b.join(head, posts[2])
+                                       [t, width, head_h]), "board")
+    b.join(head, posts[0], posts[2])
     return b
 
 
@@ -305,28 +334,16 @@ def wood_cabinet(rng, cfg: GeneratorConfig) -> _Builder:
     diag = math.sqrt(w * w + d * d + h * h)
     t = diag * rng.uniform(*cfg.wood_thickness)
 
-    left = b.add("left", box_part([-(w - t) / 2, 0, h / 2], [t, d, h]), Material.WOOD, "board")
-    right = b.add("right", box_part([(w - t) / 2, 0, h / 2], [t, d, h]), Material.WOOD, "board")
-    top = b.add("top", box_part([0, 0, h - t / 2], [w - 2 * t, d, t]), Material.WOOD, "board")
-    bottom = b.add("bottom", box_part([0, 0, t / 2], [w - 2 * t, d, t]), Material.WOOD, "board")
-    back = b.add("back", box_part([0, (d - t) / 2, h / 2], [w - 2 * t, t, h - 2 * t]),
-                 Material.WOOD, "board")
-    shelf = b.add("shelf", box_part([0, 0, h * (0.4 + 0.2 * rng.random())],
-                                    [w - 2 * t, d - t, t]), Material.WOOD, "board")
-    for a, c in [(left, top), (left, bottom), (right, top), (right, bottom),
-                 (back, left), (back, right), (shelf, left), (shelf, right)]:
-        b.join(a, c)
+    _carcass(b, w, d, h, t, "board")
+    b.add("shelf", box_part([0, 0, h * (0.4 + 0.2 * rng.random())], [w - 2 * t, d - t, t]),
+          "board")
+    b.join("shelf", "left", "right")
     return b
 
 
 # ---------------------------------------------------------------------------
 # metal furniture
 # ---------------------------------------------------------------------------
-
-def _metal_angle(rng, cfg: GeneratorConfig):
-    lo, hi = cfg.metal_angle_range
-    return math.radians(rng.uniform(lo, hi))
-
 
 def metal_chair(rng, cfg: GeneratorConfig) -> _Builder:
     b = _Builder()
@@ -339,45 +356,17 @@ def metal_chair(rng, cfg: GeneratorConfig) -> _Builder:
 
     # splayed tube legs: contact angle with the seat sheet stays N/A, but
     # leg-brace angles are broad
-    legs = []
-    ang = _metal_angle(rng, cfg)
-    spread = seat_z / math.tan(ang)
-    for k, (sx, sy) in enumerate([(-1, -1), (1, -1), (-1, 1), (1, 1)]):
-        top = np.array([sx * (w / 2 - c), sy * (d / 2 - c), seat_z])
-        foot = top + np.array([sx * spread, sy * spread, -seat_z])
-        legs.append(b.add(f"leg_{k}", rod_part(foot, top, c), Material.METAL, "tube"))
-    seat = b.add("seat", box_part([0, 0, seat_z + sheet_t / 2], [w, d, sheet_t]),
-                 Material.METAL, "sheet")
-    for leg in legs:
-        b.join(leg, seat)
-
+    legs, at = _splayed_legs(b, rng, cfg, w, d, seat_z, c)
+    seat = _top(b, "seat", legs, w, d, seat_z, sheet_t, "sheet")
     # braces between front/back leg pairs at a varied angle
-    for k, (a, cidx) in enumerate([(0, 1), (2, 3)]):
-        za = seat_z * rng.uniform(0.25, 0.6)
-        zc = seat_z * rng.uniform(0.25, 0.6)
-        pa = _point_on_leg(w, d, seat_z, spread, a, za, c)
-        pc = _point_on_leg(w, d, seat_z, spread, cidx, zc, c)
-        name = b.add(f"brace_{k}", rod_part(pa, pc, c), Material.METAL, "tube")
-        b.join(name, legs[a])
-        b.join(name, legs[cidx])
-
+    _rails(b, "brace", legs, at, ((0, 1), (2, 3)),
+           lambda *_: (seat_z * rng.uniform(0.25, 0.6), seat_z * rng.uniform(0.25, 0.6)),
+           c, "tube")
     # arc backrest tube standing on the seat
-    r = 0.42 * w
-    back = b.add("backrest",
-                 arc_tube([0, d / 2 - c, seat_z + sheet_t], r,
-                          0.0, math.pi, c * 1.2,
-                          e1=(1.0, 0.0, 0.0), e2=(0.0, 0.0, 1.0)),
-                 Material.METAL, "tube")
+    back = b.add("backrest", arc_tube([0, d / 2 - c, seat_z + sheet_t], 0.42 * w,
+                                      0.0, math.pi, c * 1.2), "tube")
     b.join(back, seat)
     return b
-
-
-def _point_on_leg(w, d, seat_z, spread, idx, z, c):
-    sx, sy = [(-1, -1), (1, -1), (-1, 1), (1, 1)][idx]
-    top = np.array([sx * (w / 2 - c), sy * (d / 2 - c), seat_z])
-    foot = top + np.array([sx * spread, sy * spread, -seat_z])
-    lam = z / seat_z
-    return foot + lam * (top - foot)
 
 
 def metal_table(rng, cfg: GeneratorConfig) -> _Builder:
@@ -389,24 +378,11 @@ def metal_table(rng, cfg: GeneratorConfig) -> _Builder:
     c = diag * rng.uniform(*cfg.metal_thickness)
     sheet_t = diag * rng.uniform(*cfg.metal_thickness)
 
-    ang = _metal_angle(rng, cfg)
-    spread = h / math.tan(ang)
-    legs = []
-    for k, (sx, sy) in enumerate([(-1, -1), (1, -1), (-1, 1), (1, 1)]):
-        top = np.array([sx * (w / 2 - c), sy * (d / 2 - c), h])
-        foot = top + np.array([sx * spread, sy * spread, -h])
-        legs.append(b.add(f"leg_{k}", rod_part(foot, top, c), Material.METAL, "tube"))
-    top_sheet = b.add("top", box_part([0, 0, h + sheet_t / 2], [w, d, sheet_t]),
-                      Material.METAL, "sheet")
-    for leg in legs:
-        b.join(leg, top_sheet)
+    legs, at = _splayed_legs(b, rng, cfg, w, d, h, c)
+    _top(b, "top", legs, w, d, h, sheet_t, "sheet")
     # X brace between diagonal legs
-    for k, (a, cidx) in enumerate([(0, 3), (1, 2)]):
-        pa = _point_on_leg(w, d, h, spread, a, h * rng.uniform(0.2, 0.5), c)
-        pc = _point_on_leg(w, d, h, spread, cidx, h * rng.uniform(0.5, 0.9), c)
-        name = b.add(f"brace_{k}", rod_part(pa, pc, c), Material.METAL, "tube")
-        b.join(name, legs[a])
-        b.join(name, legs[cidx])
+    _rails(b, "brace", legs, at, ((0, 3), (1, 2)),
+           lambda *_: (h * rng.uniform(0.2, 0.5), h * rng.uniform(0.5, 0.9)), c, "tube")
     return b
 
 
@@ -419,37 +395,19 @@ def metal_bed(rng, cfg: GeneratorConfig) -> _Builder:
     diag = math.sqrt(length ** 2 + width ** 2 + (h + head_h) ** 2)
     c = diag * rng.uniform(*cfg.metal_thickness)
 
-    posts = []
-    for k, (sx, sy) in enumerate([(-1, -1), (1, -1), (-1, 1), (1, 1)]):
-        x = sx * (length / 2 - c)
-        y = sy * (width / 2 - c)
-        posts.append(b.add(f"post_{k}", rod_part([x, y, 0], [x, y, h], c),
-                           Material.METAL, "tube"))
-    rails = []
-    for k, sy in enumerate((-1, 1)):
-        y = sy * (width / 2 - c)
-        rails.append(b.add(f"rail_{k}",
-                           rod_part([-(length / 2 - c), y, h], [length / 2 - c, y, h], c),
-                           Material.METAL, "tube"))
-        b.join(rails[-1], posts[0 if sy < 0 else 2])
-        b.join(rails[-1], posts[1 if sy < 0 else 3])
-    # slanted diagonal braces, varied angle
-    for k, sy in enumerate((-1, 1)):
-        y = sy * (width / 2 - c)
-        ang = _metal_angle(rng, cfg)
-        reach = min(h / math.tan(ang), length * 0.8)
-        name = b.add(f"brace_{k}",
-                     rod_part([-(length / 2 - c), y, 0],
-                              [-(length / 2 - c) + reach, y, h], c),
-                     Material.METAL, "tube")
-        b.join(name, posts[0 if sy < 0 else 2])
-        b.join(name, rails[k])
+    posts, at = _corner_posts(b, "post", length / 2 - c, width / 2 - c, (h,) * 4, c, "tube")
+    _rails(b, "rail", posts, at, ((0, 1), (2, 3)), lambda *_: (h, h), c, "tube")
+    # slanted diagonal braces from the head posts' feet, varied angle
+    for k in range(2):
+        reach = min(h / math.tan(math.radians(rng.uniform(*cfg.metal_angle_range))),
+                    length * 0.8)
+        foot = at(2 * k, 0)
+        brace = b.add(f"brace_{k}", rod_part(foot, foot + [reach, 0, h], c), "tube")
+        b.join(brace, posts[2 * k], f"rail_{k}")
     head = b.add("headboard",
                  arc_tube([-(length / 2 - c), 0, h], width / 2 - c, 0.0, math.pi,
-                          c * 1.2, e1=(0.0, 1.0, 0.0), e2=(0.0, 0.0, 1.0)),
-                 Material.METAL, "tube")
-    b.join(head, posts[0])
-    b.join(head, posts[2])
+                          c * 1.2, e1=(0.0, 1.0, 0.0)), "tube")
+    b.join(head, posts[0], posts[2])
     return b
 
 
@@ -466,47 +424,17 @@ def mixed_chair(rng, cfg: GeneratorConfig) -> _Builder:
     c = diag * rng.uniform(*cfg.metal_thickness)
     tw = diag * rng.uniform(*cfg.wood_thickness)
 
-    ang = _metal_angle(rng, cfg)
-    spread = seat_z / math.tan(ang)
-    legs = []
-    for k, (sx, sy) in enumerate([(-1, -1), (1, -1), (-1, 1), (1, 1)]):
-        top = np.array([sx * (w / 2 - c), sy * (d / 2 - c), seat_z])
-        foot = top + np.array([sx * spread, sy * spread, -seat_z])
-        legs.append(b.add(f"leg_{k}", rod_part(foot, top, c), Material.METAL, "tube"))
-    seat = b.add("seat", box_part([0, 0, seat_z + tw / 2], [w, d, tw]),
-                 Material.WOOD, "board")
-    for leg in legs:
-        b.join(leg, seat)
-    for k, (a, cidx) in enumerate([(0, 1), (2, 3)]):
-        pa = _point_on_leg(w, d, seat_z, spread, a, seat_z * rng.uniform(0.3, 0.6), c)
-        pc = _point_on_leg(w, d, seat_z, spread, cidx, seat_z * rng.uniform(0.3, 0.6), c)
-        name = b.add(f"brace_{k}", rod_part(pa, pc, c), Material.METAL, "tube")
-        b.join(name, legs[a])
-        b.join(name, legs[cidx])
-
-    posts = []
-    for k, sx in enumerate((-1, 1)):
-        x = sx * (w / 2 - tw)
-        y = d / 2 - tw
-        posts.append(b.add(f"post_{k}",
-                           rod_part([x, y, seat_z + tw], [x, y, seat_z + tw + back_h], tw),
-                           Material.WOOD, "rod"))
-        b.join(posts[-1], seat)
-    dev = _jitter_angle(rng, cfg.wood_jitter_deg)
-    x0 = -(w / 2 - tw) + tw / 2
-    x1 = (w / 2 - tw) - tw / 2
-    dz = (x1 - x0) * math.tan(dev)
-    slat = b.add("slat_0", rod_part([x0, d / 2 - tw, seat_z + tw + 0.7 * back_h - dz / 2],
-                                    [x1, d / 2 - tw, seat_z + tw + 0.7 * back_h + dz / 2],
-                                    tw * 0.85), Material.WOOD, "rod")
-    b.join(slat, posts[0])
-    b.join(slat, posts[1])
-    # metal crossbar through the wooden posts: the screw exemplar
-    bar = b.add("crossbar", rod_part([x0, d / 2 - tw, seat_z + tw + 0.4 * back_h],
-                                     [x1, d / 2 - tw, seat_z + tw + 0.4 * back_h], c),
-                Material.METAL, "tube")
-    b.join(bar, posts[0])
-    b.join(bar, posts[1])
+    legs, at = _splayed_legs(b, rng, cfg, w, d, seat_z, c)
+    seat = _top(b, "seat", legs, w, d, seat_z, tw, "board")
+    _rails(b, "brace", legs, at, ((0, 1), (2, 3)),
+           lambda *_: (seat_z * rng.uniform(0.3, 0.6), seat_z * rng.uniform(0.3, 0.6)),
+           c, "tube")
+    posts = _back(b, rng, cfg, seat, w / 2 - tw, d / 2 - tw, seat_z + tw, back_h, tw, [0.7])
+    # metal crossbar through the wooden posts, over the slat's x range: the
+    # screw exemplar
+    x, y, z = w / 2 - tw - tw / 2, d / 2 - tw, seat_z + tw + 0.4 * back_h
+    bar = b.add("crossbar", rod_part([-x, y, z], [x, y, z], c), "tube")
+    b.join(bar, *posts)
     return b
 
 
@@ -520,24 +448,11 @@ def mixed_table(rng, cfg: GeneratorConfig) -> _Builder:
     c = diag * rng.uniform(*cfg.metal_thickness)
     tw = diag * rng.uniform(*cfg.wood_thickness)
 
-    ang = _metal_angle(rng, cfg)
-    spread = h / math.tan(ang)
-    legs = []
-    for k, (sx, sy) in enumerate([(-1, -1), (1, -1), (-1, 1), (1, 1)]):
-        top = np.array([sx * (w / 2 - c), sy * (d / 2 - c), h])
-        foot = top + np.array([sx * spread, sy * spread, -h])
-        legs.append(b.add(f"leg_{k}", rod_part(foot, top, c), Material.METAL, "tube"))
-    top_board = b.add("top", box_part([0, 0, h + tw / 2], [w, d, tw]),
-                      Material.WOOD, "board")
-    for leg in legs:
-        b.join(leg, top_board)
+    legs, at = _splayed_legs(b, rng, cfg, w, d, h, c)
+    _top(b, "top", legs, w, d, h, tw, "board")
     # wooden aprons clamped at the leg tops: screw exemplars
-    for k, (a, cidx) in enumerate([(0, 1), (2, 3)]):
-        pa = _point_on_leg(w, d, h, spread, a, h * 0.96, c)
-        pc = _point_on_leg(w, d, h, spread, cidx, h * 0.96, c)
-        name = b.add(f"apron_{k}", rod_part(pa, pc, tw * 0.9), Material.WOOD, "rod")
-        b.join(name, legs[a])
-        b.join(name, legs[cidx])
+    _rails(b, "apron", legs, at, ((0, 1), (2, 3)), lambda *_: (h * 0.96, h * 0.96),
+           tw * 0.9, "rod")
     return b
 
 
@@ -550,29 +465,16 @@ def metal_cabinet(rng, cfg: GeneratorConfig) -> _Builder:
     diag = math.sqrt(w * w + d * d + h * h)
     t = diag * rng.uniform(*cfg.metal_thickness)
 
-    left = b.add("left", box_part([-(w - t) / 2, 0, h / 2], [t, d, h]), Material.METAL, "sheet")
-    right = b.add("right", box_part([(w - t) / 2, 0, h / 2], [t, d, h]), Material.METAL, "sheet")
-    top = b.add("top", box_part([0, 0, h - t / 2], [w - 2 * t, d, t]), Material.METAL, "sheet")
-    bottom = b.add("bottom", box_part([0, 0, t / 2], [w - 2 * t, d, t]), Material.METAL, "sheet")
-    back = b.add("back", box_part([0, (d - t) / 2, h / 2], [w - 2 * t, t, h - 2 * t]),
-                 Material.METAL, "sheet")
-    for a, c in [(left, top), (left, bottom), (right, top), (right, bottom),
-                 (back, left), (back, right)]:
-        b.join(a, c)
+    _carcass(b, w, d, h, t, "sheet")
     return b
 
 
+# (variant name, generator) per category
 _VARIANTS = {
-    "chair": (wood_chair, metal_chair, mixed_chair),
-    "table": (wood_table, metal_table, mixed_table),
-    "bed": (wood_bed, metal_bed),
-    "cabinet": (wood_cabinet, metal_cabinet),
-}
-_VARIANT_NAMES = {
-    "chair": ("wood", "metal", "mixed"),
-    "table": ("wood", "metal", "mixed"),
-    "bed": ("wood", "metal"),
-    "cabinet": ("wood", "metal"),
+    "chair": (("wood", wood_chair), ("metal", metal_chair), ("mixed", mixed_chair)),
+    "table": (("wood", wood_table), ("metal", metal_table), ("mixed", mixed_table)),
+    "bed": (("wood", wood_bed), ("metal", metal_bed)),
+    "cabinet": (("wood", wood_cabinet), ("metal", metal_cabinet)),
 }
 
 
@@ -586,8 +488,7 @@ def generate_synthetic_database(config: GeneratorConfig, seed=0) -> list:
         if count < 1:
             raise ValueError(f"category {cat} needs at least one model")
         variants = _VARIANTS[cat]
-        names = _VARIANT_NAMES[cat]
         for k in range(count):
-            builder = variants[k % len(variants)](rng, config)
-            sources.append(builder.source(f"{cat}_{k:03d}_{names[k % len(names)]}"))
+            variant, generate = variants[k % len(variants)]
+            sources.append(generate(rng, config).source(f"{cat}_{k:03d}_{variant}"))
     return sources

@@ -270,3 +270,10 @@ def test_bad_db_is_input_error(corpus, tmp_path, capsys):
     bad.write_text("{not json")
     rc = main(["validate", "--db", str(bad)])
     assert rc == EXIT_INPUT
+
+
+def test_validate_without_inputs_is_input_error(capsys):
+    rc = main(["validate"])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "--db" in err and "--model" in err

@@ -1,4 +1,6 @@
+import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,8 +9,12 @@ from meshreform.codec import decode, encode
 from meshreform.database import build_database
 from meshreform.mesh import Material
 from meshreform.pipeline import PipelineConfig
-from meshreform.synthetic import (GeneratorConfig, generate_synthetic_database,
-                                  rule_joint_kind, wood_chair)
+from meshreform.synthetic import (GeneratorConfig, arc_tube, box_part,
+                                  generate_synthetic_database, metal_bed,
+                                  metal_cabinet, metal_chair, metal_table,
+                                  mixed_chair, mixed_table, rod_part,
+                                  rule_joint_kind, wood_bed, wood_cabinet,
+                                  wood_chair, wood_table)
 
 
 def test_deterministic_per_seed():
@@ -59,22 +65,29 @@ def test_thickness_ranges(small_sources, small_gen_config):
             assert t <= 0.01 + 0.005
 
 
-def test_joint_tags_follow_rulebook(small_sources):
-    for src in small_sources:
-        kinds = {p.name: k for p, k in
-                 ((p, None) for p in src.model.parts)}
-        # regenerate expectation from the builders' kind map via rule_joint_kind
-        # (tags were produced by the same rule; verify internal consistency)
-        mats = {p.name: p.material for p in src.model.parts}
-        for pair, kind in src.joint_tags.items():
-            a, b = sorted(pair)
-            cat_materials = {mats[a], mats[b]}
-            if cat_materials == {Material.WOOD}:
-                assert kind in ("mortise_tenon", "lap", "dowel")
-            elif cat_materials == {Material.METAL}:
-                assert kind in ("weld", "bolt")
-            else:
-                assert kind in ("screw", "bracket")
+_GENERATORS = [
+    wood_chair, wood_table, wood_bed, wood_cabinet, metal_chair, metal_table,
+    metal_bed, metal_cabinet, mixed_chair, mixed_table,
+    functools.partial(wood_chair, n_slats=6),
+    functools.partial(wood_chair, n_stretchers=4, n_slats=16),
+]
+
+
+def test_joint_tags_follow_rulebook():
+    """Each tag is ``rule_joint_kind`` of the two parts' kinds and materials
+    as the builder recorded them, for every generator."""
+    for generate in _GENERATORS:
+        for seed in range(3):
+            b = generate(np.random.default_rng(seed), GeneratorConfig())
+            mats = {p.name: p.material for p in b.parts}
+            assert len(mats) == len(b.parts) == len(b.kinds)
+            for name, kind in b.kinds.items():
+                wood = kind in ("rod", "board")
+                assert mats[name] == (Material.WOOD if wood else Material.METAL)
+            assert b.tags
+            for pair, tag in b.tags.items():
+                a, c = sorted(pair)
+                assert tag == rule_joint_kind(b.kinds[a], mats[a], b.kinds[c], mats[c])
 
 
 def test_rulebook():
@@ -110,3 +123,27 @@ def test_config_roundtrip():
     cfg = GeneratorConfig(scale=0.5, wood_thickness=(0.02, 0.03))
     back = decode(GeneratorConfig, json.loads(json.dumps(encode(cfg))))
     assert back == cfg
+
+
+def _signed_volume(mesh):
+    v0, v1, v2 = mesh.triangle_corners()
+    return float(np.einsum("ij,ij->", v0, np.cross(v1, v2))) / 6.0
+
+
+_INSIDE_OUT = pytest.mark.xfail(
+    strict=True, reason="FOUND (CHANGES.md): most synthetic parts are wound inside "
+    "out; rod_part's box frame is left-handed and arc_tube winds its faces inward")
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: box_part([0.1, 0.2, 0.3], [0.5, 0.4, 0.5]), id="box"),
+    pytest.param(lambda: rod_part([0, 0, 0], [0.4, 0.3, 1.0], 0.05), id="oblique_rod",
+                 marks=_INSIDE_OUT),
+    pytest.param(lambda: rod_part([0, 0, 0], [0, 0, 1.0], 0.05), id="vertical_rod",
+                 marks=_INSIDE_OUT),
+    pytest.param(lambda: arc_tube([0, 0, 0], 0.4, 0.0, math.pi, 0.05), id="arc_tube",
+                 marks=_INSIDE_OUT),
+])
+def test_parts_are_wound_outwards(make):
+    """Outward normals give a closed part a positive signed volume."""
+    assert _signed_volume(make()) > 0
