@@ -6,6 +6,7 @@ Exit codes: 0 ok, 2 input error, 3 stage failure.
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -69,6 +70,8 @@ def _write(path, payload):
 
 def cmd_ingest(args):
     cfg = _load_config(args)
+    if args.weld_tol is not None and not 0 <= args.weld_tol < math.inf:
+        raise ValueError(f"--weld-tol must be finite and non-negative, got {args.weld_tol}")
     model = load_model(args.model, material_sidecar=args.materials,
                        regroup=args.regroup, weld_tol=args.weld_tol)
     analysis = pl.analyze_model(model, cfg)
@@ -78,6 +81,8 @@ def cmd_ingest(args):
 
 def cmd_gen_db(args):
     cfg = _load_config(args)
+    if not 0 < args.scale < math.inf:
+        raise ValueError(f"--scale must be finite and positive, got {args.scale}")
     gen = GeneratorConfig(scale=args.scale)
     if args.chairs is not None:
         gen.chairs = args.chairs

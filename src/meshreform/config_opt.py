@@ -150,7 +150,7 @@ def assess_angle_feasibility(graph: ContactGraph, parts: dict, db) -> list:
         dist = np.abs(centers[ok] - e.angle)
         best = ok[np.lexsort((-centers[ok], dist))[0]]
         constraints.append(AngleConstraint(
-            edge=(min(e.i, e.j), max(e.i, e.j)), angle=float(e.angle),
+            edge=e.key(), angle=float(e.angle),
             target=float(centers[best]), feasibility=float(feas)))
     return constraints
 
@@ -251,7 +251,7 @@ def enumerate_configurations(constraints, graph: ContactGraph, parts: dict,
             if mover not in fixed and graph.degree(mover) >= 2:
                 opts.append((option, _make_bind(option, (i, j), parts, graph)))
         per_edge.append(opts)
-    contact_pairs = {(min(e.i, e.j), max(e.i, e.j)) for e in graph.part_edges()}
+    contact_pairs = {e.key() for e in graph.part_edges()}
     out = []
 
     def extend(chosen):

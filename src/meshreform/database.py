@@ -169,7 +169,7 @@ def _index_model(db: Database, analysis, name, joint_tags=None):
 
     index_of = {}
     congruent_dup = set()
-    for cls_ in analysis.repetition_graph.classes():
+    for cls_ in analysis.repetition_graph.classes:
         congruent_dup.update(cls_[1:])
     for p in parts:
         idx = len(db.parts)

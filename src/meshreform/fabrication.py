@@ -154,8 +154,9 @@ def infer_joint_types(queries, db, k=KNN_K, overrides=None) -> list:
 
     The winner is the plurality kind among the k highest-affinity tagged
     contacts; a tie in votes or a best-score margin below 10% against the
-    runner-up kind marks the joint ambiguous. ``overrides`` maps an edge to
-    a kind and clears ambiguity.
+    runner-up kind marks the joint ambiguous. ``overrides`` maps an edge
+    ``(min, max)``, the form of every query edge, to a kind and clears
+    ambiguity.
     """
     overrides = overrides or {}
     tagged = db.tagged_contacts()
@@ -191,9 +192,8 @@ def infer_joint_types(queries, db, k=KNN_K, overrides=None) -> list:
                     ambiguous = True
         candidates = [kk for kk, _ in ranked] if ambiguous else []
 
-        key = (min(q.edge), max(q.edge))
-        if key in overrides:
-            winner = overrides[key]
+        if q.edge in overrides:
+            winner = overrides[q.edge]
             ambiguous = False
             candidates = []
         joint = JointType(category=cat, kind=winner, ambiguous=ambiguous,

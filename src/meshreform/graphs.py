@@ -82,15 +82,13 @@ class ContactGraph:
 
 @dataclass
 class RepetitionGraph:
-    nodes: list
-    edges: list[tuple] = field(default_factory=list)  # (i, j) pairs, i < j
+    """Congruence classes: a partition of the part ids into sorted lists,
+    ordered by their smallest member, singletons included."""
 
-    def classes(self):
-        """Congruence classes as sorted lists (transitive closure)."""
-        return connected_components(self.nodes, self.edges)
+    classes: list[list[int]]
 
     def partners(self, pid):
-        for cls_ in self.classes():
+        for cls_ in self.classes:
             if pid in cls_:
                 return [p for p in cls_ if p != pid]
         return []
@@ -112,12 +110,15 @@ def build_contact_graph(model: Model, samples: dict,
     ``d_c`` of the model's minimum z get an extra ground edge
     (``j == GROUND_ID``); the input is assumed z-up.
 
-    ``samples`` maps part id to SurfaceSamples.
+    Parts are taken in ascending id order, whatever order the model lists
+    them in, so every part edge is ``(min, max)`` and the graph does not
+    depend on the list order. ``samples`` maps part id to SurfaceSamples.
     """
     if d_c <= 0:
         raise ValueError("d_c must be positive")
 
-    ids = [p.id for p in model.parts]
+    parts = sorted(model.parts, key=lambda p: p.id)
+    ids = [p.id for p in parts]
     pts = {pid: samples[pid].positions for pid in ids}
     cols = {pid: np.ascontiguousarray(pts[pid].T) for pid in ids}   # (3, n)
     aabb = {pid: (cols[pid].min(axis=1), cols[pid].max(axis=1)) for pid in ids}
@@ -148,8 +149,8 @@ def build_contact_graph(model: Model, samples: dict,
         graph.edges.append(ContactEdge(i, j, near.mean(axis=0), min_distance=dmin))
 
     # ground contacts (z-up convention)
-    all_min_z = min(float(p.mesh.vertices[:, 2].min()) for p in model.parts)
-    for p in model.parts:
+    all_min_z = min(float(p.mesh.vertices[:, 2].min()) for p in parts)
+    for p in parts:
         if float(p.mesh.vertices[:, 2].min()) < all_min_z + d_c:
             low = pts[p.id][cols[p.id][2] < all_min_z + d_c]
             if len(low) == 0:
@@ -261,16 +262,14 @@ def congruence_rms(desc_a: PartDescriptor, pts_a, desc_b: PartDescriptor, pts_b,
 
 def build_repetition_graph(model: Model, descriptors: dict,
                            samples: dict) -> RepetitionGraph:
-    """Congruence edges between parts with matching extents and small aligned
-    RMS; the result is transitively closed into cliques.
+    """Congruence classes: the transitive closure of the pairs with matching
+    extents and small aligned RMS.
 
-    A pair already joined through earlier congruence edges is not checked:
+    A pair already joined through earlier congruent pairs is not checked:
     the closure puts it in one class whatever its own RMS, so k congruent
     copies cost at most k - 1 checks inside their class.
     """
-    ids = [p.id for p in model.parts]
-    graph = RepetitionGraph(nodes=list(ids))
-    direct = []
+    ids = sorted(p.id for p in model.parts)
     cls_of = {pid: {pid} for pid in ids}     # the class found so far
     for i, j in itertools.combinations(ids, 2):
         if cls_of[i] is cls_of[j]:
@@ -284,11 +283,8 @@ def build_repetition_graph(model: Model, descriptors: dict,
         rms = congruence_rms(descriptors[i], pa, descriptors[j], pb,
                              stop_below=0.5 * CONGRUENCE_RMS_TOL)
         if rms < CONGRUENCE_RMS_TOL:
-            direct.append((i, j))
             joined = cls_of[i] | cls_of[j]
             for pid in joined:
                 cls_of[pid] = joined
-    # transitive closure: each component becomes a clique
-    for cls_ in connected_components(ids, direct):
-        graph.edges.extend(itertools.combinations(cls_, 2))
-    return graph
+    return RepetitionGraph(classes=[sorted(c) for pid, c in cls_of.items()
+                                    if pid == min(c)])

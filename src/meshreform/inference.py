@@ -2,11 +2,11 @@
 suggestion.
 
 A contact factor's table carries an exponent weight (``CONTACT_WEIGHT``)
-applied in log space. A repetition factor is a hard equality: its two parts
-take the same label, so its table is the indicator of equal label values and
-its log table is 0 on that diagonal and -inf elsewhere.
+applied in log space. Repetition is a hard equality: the graph's
+``classes`` list the variables of each congruence class, which take one
+label.
 
-``exact_map`` collapses each repetition class into one variable and runs
+``exact_map`` collapses each class into one variable and runs
 max-sum variable elimination (bucket elimination; Dechter, Artif. Intell.
 1999) on the classes, then decodes forward with the first argmax, so exact
 ties go to the lexicographically first assignment.
@@ -16,14 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import connected_components
 from .mesh import Material
 from .similarity import (contact_angle_similarity, shape_matrix,
                          spatial_similarity)
 
 LOG_FLOOR = 1e-300
 CONTACT_WEIGHT = 0.1
-FACTOR_KINDS = ("contact", "repetition")
 
 
 class InferenceError(ValueError):
@@ -36,18 +34,19 @@ class PairwiseFactor:
     b: int
     table: np.ndarray     # (La, Lb), non-negative
     weight: float = 1.0
-    kind: str = "contact"
 
 
 @dataclass
 class FactorGraph:
     """Multi-label MRF: one variable per part, unary tables in linear space,
-    contact factors with exponent weights and repetition equalities."""
+    contact factors with exponent weights and classes of variables held
+    equal (disjoint; a variable in no class is free)."""
 
     keys: list                       # variable names (part ids)
     domains: list                    # per-variable label arrays
     unaries: list                    # per-variable (L,) tables
     pairwise: list = field(default_factory=list)
+    classes: list = field(default_factory=list)   # lists of variable indices
 
     def __post_init__(self):
         for i, (dom, un) in enumerate(zip(self.domains, self.unaries)):
@@ -58,9 +57,7 @@ class FactorGraph:
             if not np.isfinite(un).all() or (np.asarray(un) < 0).any():
                 raise ValueError(f"variable {i}: unary must be finite and >= 0")
         for k, f in enumerate(self.pairwise):
-            name = f"factor {k} ({f.a}, {f.b}, {f.kind!r})"
-            if f.kind not in FACTOR_KINDS:
-                raise ValueError(f"{name}: kind must be one of {', '.join(FACTOR_KINDS)}")
+            name = f"factor {k} ({f.a}, {f.b})"
             if not (0 <= f.a < len(self.keys) and 0 <= f.b < len(self.keys)):
                 raise ValueError(f"{name} references a missing variable")
             if f.a == f.b:
@@ -69,30 +66,31 @@ class FactorGraph:
                 raise ValueError(f"{name}: table shape mismatch")
             if not np.isfinite(f.table).all() or (f.table < 0).any():
                 raise ValueError(f"{name}: table must be finite and >= 0")
-            if f.kind == "repetition" and not np.array_equal(
-                    f.table > 0, self._equal_labels(f.a, f.b)):
-                raise ValueError(f"{name}: table must be the indicator of equal labels")
+        for k, members in enumerate(self.classes):
+            if not members or not all(0 <= v < len(self.keys) for v in members):
+                raise ValueError(f"class {k} {members} must name existing variables")
+        named = [v for members in self.classes for v in members]
+        if len(set(named)) != len(named):
+            raise ValueError("classes must be disjoint")
 
     @property
     def n_vars(self):
         return len(self.keys)
-
-    def _equal_labels(self, a, b):
-        # object arrays: numpy would cut str-enum labels to a fixed width
-        da, db = (np.asarray(self.domains[v], dtype=object) for v in (a, b))
-        return da[:, None] == db[None, :]
 
     def log_unaries(self):
         return [np.log(np.maximum(np.asarray(u, dtype=float), LOG_FLOOR))
                 for u in self.unaries]
 
     def log_tables(self):
-        return [np.where(f.table > 0, 0.0, -np.inf) if f.kind == "repetition"
-                else f.weight * np.log(np.maximum(f.table, LOG_FLOOR))
+        return [f.weight * np.log(np.maximum(f.table, LOG_FLOOR))
                 for f in self.pairwise]
 
     def log_potential(self, indices):
-        """Total weighted log potential of a label-index assignment."""
+        """Total weighted log potential of a label-index assignment; -inf
+        when it gives the members of a class different labels."""
+        for members in self.classes:
+            if len({self.domains[v][indices[v]] for v in members}) > 1:
+                return -np.inf
         total = 0.0
         for lu, idx in zip(self.log_unaries(), indices):
             total += lu[idx]
@@ -115,12 +113,14 @@ class Assignment:
 # ---------------------------------------------------------------------------
 
 def _collapse(graph, log_un):
-    """Repetition classes ordered by smallest member, each member's label
-    index per class label, and one log unary per class. A class's labels are
-    the values every member's domain holds, in its first member's order."""
-    classes = connected_components(
-        range(graph.n_vars),
-        [(f.a, f.b) for f in graph.pairwise if f.kind == "repetition"])
+    """The graph's classes, each sorted, plus one singleton per variable in
+    none, ordered by smallest member; each member's label index per class
+    label; and one log unary per class. A class's labels are the values every
+    member's domain holds, in its first member's order."""
+    named = {v for members in graph.classes for v in members}
+    classes = sorted([sorted(members) for members in graph.classes]
+                     + [[v] for v in range(graph.n_vars) if v not in named],
+                     key=min)
     picks, unary = [], []
     for members in classes:
         where = [{val: i for i, val in enumerate(graph.domains[v])} for v in members]
@@ -150,8 +150,6 @@ def exact_map(graph: FactorGraph) -> Assignment:
     # each factor is (sorted class scope, table with one axis per scope entry)
     factors = [((c,), u) for c, u in enumerate(unary)]
     for f, lt in zip(graph.pairwise, graph.log_tables()):
-        if f.kind == "repetition":
-            continue        # 0 on the labels a class can take
         ca, cb = cls_of[f.a], cls_of[f.b]
         if ca == cb:
             factors.append(((ca,), lt[picks[ca][f.a], picks[ca][f.b]]))
@@ -198,9 +196,9 @@ def build_reform_factor_graph(descriptors: dict, contact_graph, repetition_graph
 
     Unaries gate candidates by target material and score OBB similarity
     (plus area ratio for parts listed in ``compact``); contact factors sum
-    candidate-pair affinity over every contacting exemplar pair; repetition
-    factors tie congruent parts that have the same target material (parts
-    with different targets share no candidate).
+    candidate-pair affinity over every contacting exemplar pair; each
+    congruence class is split by target material into classes held equal
+    (parts with different targets share no candidate).
     """
     if not db.candidates:
         raise InferenceError("database has no candidate set (run cluster_candidates)")
@@ -273,22 +271,21 @@ def build_reform_factor_graph(descriptors: dict, contact_graph, repetition_graph
         sel_a = np.searchsorted(cand, domains[a])
         sel_b = np.searchsorted(cand, domains[b])
         pairwise.append(PairwiseFactor(a, b, full[np.ix_(sel_a, sel_b)],
-                                       weight=CONTACT_WEIGHT, kind="contact"))
+                                       weight=CONTACT_WEIGHT))
 
-    for i, j in repetition_graph.edges:
-        if i not in var_of or j not in var_of or targets[i] != targets[j]:
-            continue
-        a, b = var_of[i], var_of[j]
-        table = (domains[a][:, None] == domains[b][None, :]).astype(float)
-        pairwise.append(PairwiseFactor(a, b, table, kind="repetition"))
-
-    return FactorGraph(keys=keys, domains=domains, unaries=unaries, pairwise=pairwise)
+    # each class split by target, the targets in member order (not a set)
+    classes = [[var_of[pid] for pid in members if targets[pid] == target]
+               for members in repetition_graph.classes
+               for target in dict.fromkeys(targets[pid] for pid in members)]
+    return FactorGraph(keys=keys, domains=domains, unaries=unaries,
+                       pairwise=pairwise, classes=classes)
 
 
 def build_material_factor_graph(descriptors: dict, contact_graph, repetition_graph,
                                 db) -> FactorGraph:
     """Material-suggestion MRF over {wood, metal} with full shape kernels,
-    spatial and contact-angle pairwise terms, and identity repetition.
+    spatial and contact-angle pairwise terms, and congruence classes held
+    equal.
 
     Contacts inside a repetition class get no factor: such a factor only
     weighs wood-wood against metal-metal for a part touching copies of
@@ -320,12 +317,12 @@ def build_material_factor_graph(descriptors: dict, contact_graph, repetition_gra
 
     pairwise = []
     var_of = {pid: v for v, pid in enumerate(part_ids)}
-    class_of = {pid: c for c, members in enumerate(repetition_graph.classes())
+    class_of = {pid: c for c, members in enumerate(repetition_graph.classes)
                 for pid in members}
     for e in contact_graph.part_edges():
         if e.i not in var_of or e.j not in var_of:
             continue
-        if e.i in class_of and class_of[e.i] == class_of.get(e.j):
+        if class_of[e.i] == class_of[e.j]:
             continue
         d_ij = float(np.linalg.norm(dist[e.i] - dist[e.j]))
         pr = spatial_similarity(d_ij, d_uv)
@@ -341,13 +338,9 @@ def build_material_factor_graph(descriptors: dict, contact_graph, repetition_gra
                 mb = (wood_v == wi) & (wood_u == wj)
                 table[xi, xj] = base_a[ma].sum() + base_b[mb].sum()
         pairwise.append(PairwiseFactor(var_of[e.i], var_of[e.j], table,
-                                       weight=CONTACT_WEIGHT, kind="contact"))
-
-    for i, j in repetition_graph.edges:
-        if i not in var_of or j not in var_of:
-            continue
-        pairwise.append(PairwiseFactor(var_of[i], var_of[j], np.eye(2),
-                                       kind="repetition"))
+                                       weight=CONTACT_WEIGHT))
 
     return FactorGraph(keys=part_ids, domains=[labels] * len(part_ids),
-                       unaries=unaries, pairwise=pairwise)
+                       unaries=unaries, pairwise=pairwise,
+                       classes=[[var_of[pid] for pid in members]
+                                for members in repetition_graph.classes])

@@ -1,11 +1,11 @@
-"""Hot numeric kernels: ray casting and box occupancy.
+"""Hot numeric kernel: ray casting.
 
-Each kernel is one vectorized numpy implementation. The ray kernel works
-through its rays in chunks, so that the ray x triangle intermediate arrays
-stay a few million entries long whatever the mesh size, and keeps one such
-array per vector component instead of (rays, triangles, 3) products. The
-tests check every kernel against a per-element loop, and the ray kernel bit
-for bit against the ``np.cross`` formulation. Nearest-point search is not
+The kernel is one vectorized numpy implementation. It works through its
+rays in chunks, so that the ray x triangle intermediate arrays stay a few
+million entries long whatever the mesh size, and keeps one such array per
+vector component instead of (rays, triangles, 3) products. The tests check
+it against a per-element loop and bit for bit against the ``np.cross``
+formulation. Nearest-point search is not
 here: the contact graph, congruence and placement query
 ``scipy.spatial.cKDTree`` directly.
 """
@@ -63,30 +63,9 @@ def ray_mesh_first_hit(origins, dirs, v0, v1, v2):
     return out
 
 
-# ---------------------------------------------------------------------------
-# point-in-oriented-box occupancy (voxel oracles, proxy CSG checks)
-# ---------------------------------------------------------------------------
-
-def points_in_boxes(points, centers, axes, half_extents, tol=1e-9):
-    """Boolean mask: point inside at least one oriented box.
-
-    centers: (k, 3); axes: (k, 3, 3) rows are unit box axes;
-    half_extents: (k, 3).
-    """
-    n = points.shape[0]
-    out = np.zeros(n, dtype=np.bool_)
-    for b in range(centers.shape[0]):
-        rel = points - centers[b]
-        local = rel @ axes[b].T
-        inside = (np.abs(local) <= half_extents[b] + tol).all(axis=1)
-        out |= inside
-    return out
-
-
 def warmup():
-    """Run every kernel once on tiny inputs, so that one-off costs of a
+    """Run the kernel once on tiny inputs, so that one-off costs of a
     first call (imports, allocator growth) fall outside timed work."""
     pts = np.zeros((2, 3))
     tri = np.array([[[0.0, 0, 0]], [[1.0, 0, 0]], [[0.0, 1, 0]]])
     ray_mesh_first_hit(pts, pts + [0.0, 0.0, 1.0], tri[0], tri[1], tri[2])
-    points_in_boxes(pts, np.zeros((1, 3)), np.eye(3)[None], np.ones((1, 3)))

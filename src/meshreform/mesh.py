@@ -57,10 +57,6 @@ class TriangleMesh:
     def face_areas(self):
         return 0.5 * np.linalg.norm(self.face_cross(), axis=1)
 
-    def face_normals(self):
-        cr = self.face_cross()
-        return _unit_rows(cr, np.linalg.norm(cr, axis=1))
-
     def surface_area(self):
         return float(self.face_areas().sum())
 

@@ -49,9 +49,6 @@ class OrientedBox:
     def to_world(self, local):
         return np.atleast_2d(local) @ self.axes + self.center
 
-    def contains(self, points, tol=1e-6):
-        return (np.abs(self.to_local(points)) <= self.half_extents + tol).all(axis=1)
-
     def corners(self):
         signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float)
         return self.to_world(signs * self.half_extents)

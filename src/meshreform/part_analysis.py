@@ -40,9 +40,6 @@ class PartDescriptor:
         check_shapes(self, size_vec=(3,), dominant_axis=(3,), segment=(2, 3),
                      barycenter=(3,))
 
-    def segment_length(self):
-        return float(np.linalg.norm(self.segment[1] - self.segment[0]))
-
 
 class ThicknessEstimate(NamedTuple):
     value: float

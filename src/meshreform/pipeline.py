@@ -97,6 +97,8 @@ def analyze_model(model: Model, cfg: PipelineConfig,
     Parts tagged ``other`` (screws, pads, non-key elements) are dropped up
     front; they take no part in analysis, inference, or reform.
     """
+    if not model.parts:
+        raise ValueError("model has no parts")
     kept = [p for p in model.parts if p.material != Material.OTHER]
     if len(kept) != len(model.parts):
         logger.info("ignoring %d part(s) tagged other", len(model.parts) - len(kept))

@@ -19,6 +19,28 @@ def make_box_part(pid, center, dims, material=Material.UNTAGGED, name=""):
                 name=name or f"part_{pid}")
 
 
+def points_in_boxes(points, centers, axes, half_extents, tol=1e-9):
+    """Boolean mask: point inside at least one oriented box; the occupancy
+    behind the voxel oracles. centers: (k, 3); axes: (k, 3, 3), rows are
+    unit box axes; half_extents: (k, 3)."""
+    out = np.zeros(points.shape[0], dtype=np.bool_)
+    for c, ax, h in zip(centers, axes, half_extents):
+        out |= (np.abs((points - c) @ ax.T) <= h + tol).all(axis=1)
+    return out
+
+
+def box_contains(box, points, tol=1e-6):
+    """Mask of the points inside an OrientedBox grown by ``tol``."""
+    return (np.abs(box.to_local(points)) <= box.half_extents + tol).all(axis=1)
+
+
+def face_normals(mesh):
+    """Unit normal of each face; a zero-area face's normal stays zero."""
+    cr = mesh.face_cross()
+    length = np.linalg.norm(cr, axis=1)
+    return cr / np.where(length > 0, length, 1.0)[:, None]
+
+
 def random_rotation(rng):
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)

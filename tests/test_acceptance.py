@@ -36,7 +36,7 @@ from meshreform.similarity import (orientation_angles, orientation_angle_similar
 from meshreform.synthetic import (GeneratorConfig, generate_synthetic_database,
                                   wood_chair, metal_chair, metal_table)
 
-from conftest import make_box_part, random_rotation
+from conftest import make_box_part, points_in_boxes, random_rotation
 from test_assembly import (dense_lsq_oracle, objective as restore_objective,
                            random_restore_case, solve_restore_directly)
 from test_config_opt import four_rail_fixture, rotation_fixture
@@ -522,7 +522,7 @@ def voxel_occupancy(box_list, lo, hi, n):
     flat = np.column_stack([np.zeros(yy.size), yy.ravel(), zz.ravel()])
     for ix, x in enumerate(ticks[0]):
         flat[:, 0] = x
-        out[ix] = kernels.points_in_boxes(flat, centers, axes, halfs).reshape(n, n)
+        out[ix] = points_in_boxes(flat, centers, axes, halfs).reshape(n, n)
     return out
 
 

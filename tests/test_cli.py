@@ -25,6 +25,11 @@ def corpus(tmp_path_factory):
     return {"root": root, "models": models, "db": db, "query": qpath}
 
 
+def _load(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _config_path(root):
     cfg = os.path.join(root, "config.json")
     if not os.path.exists(cfg):
@@ -34,9 +39,9 @@ def _config_path(root):
 
 
 def test_gen_db_wrote_models_and_db(corpus):
-    manifest = json.load(open(os.path.join(corpus["models"], "manifest.json")))
+    manifest = _load(os.path.join(corpus["models"], "manifest.json"))
     assert len(manifest["models"]) >= 8
-    db = json.load(open(corpus["db"]))
+    db = _load(corpus["db"])
     assert db["version"] == 1
     assert db["candidates"]
 
@@ -46,8 +51,8 @@ def test_build_db_matches_gen_db(corpus, tmp_path):
     rc = main(["build-db", "--models", corpus["models"], "--out", str(out),
                "--seed", "7", "--config", _config_path(corpus["root"])])
     assert rc == EXIT_OK
-    a = json.load(open(corpus["db"]))
-    b = json.load(open(out))
+    a = _load(corpus["db"])
+    b = _load(out)
     assert a["candidates"] == b["candidates"]
     assert len(a["parts"]) == len(b["parts"])
 
@@ -85,8 +90,11 @@ def test_ingest(corpus, tmp_path):
     rc = main(["ingest", "--model", corpus["query"], "--out", str(out),
                "--config", _config_path(corpus["root"])])
     assert rc == EXIT_OK
-    doc = json.load(open(out))
+    doc = _load(out)
     assert set(doc) >= {"descriptors", "contact_graph", "repetition_graph"}
+    classes = doc["repetition_graph"]["classes"]
+    assert list(doc["repetition_graph"]) == ["classes"]
+    assert sorted(pid for c in classes for pid in c) == sorted(map(int, doc["materials"]))
 
 
 def test_suggest(corpus, tmp_path):
@@ -94,7 +102,7 @@ def test_suggest(corpus, tmp_path):
     rc = main(["suggest", "--model", corpus["query"], "--db", corpus["db"],
                "--out", str(out), "--config", _config_path(corpus["root"])])
     assert rc == EXIT_OK
-    doc = json.load(open(out))
+    doc = _load(out)
     assert set(doc) == {"materials", "log_potential"}
     assert set(doc["materials"].values()) == {"wood"}
 
@@ -106,7 +114,7 @@ def test_pipeline_command(corpus, tmp_path):
                "--target-material", "all=metal"])
     assert rc == EXIT_OK
     assert (out / "spec.json").exists()
-    summary = json.load(open(out / "summary.json"))
+    summary = _load(out / "summary.json")
     assert "export" in summary["stages"]
 
 
@@ -125,7 +133,7 @@ def test_joint_override_flag(corpus, tmp_path):
                "--out", str(out), "--config", _config_path(corpus["root"]),
                "--target-material", "all=wood", "--joint-override", "0,4=lap"])
     assert rc == EXIT_OK
-    joints = json.load(open(out / "06_joints.json"))
+    joints = _load(out / "06_joints.json")
     mine = [j for j in joints if sorted(j["edge"]) == [0, 4]]
     if mine:
         assert mine[0]["joint"]["kind"] == "lap"
@@ -251,7 +259,7 @@ def test_db_with_bad_reference_or_shape_is_input_error(corpus, tmp_path, capsys,
                                                        tamper, named, command):
     """A db.json whose part references or descriptor segments are broken is
     rejected when it loads, before any stage runs."""
-    doc = json.load(open(corpus["db"]))
+    doc = _load(corpus["db"])
     tamper(doc)
     bad = tmp_path / "db.json"
     bad.write_text(json.dumps(doc))
@@ -277,3 +285,30 @@ def test_validate_without_inputs_is_input_error(capsys):
     assert rc == EXIT_INPUT
     err = capsys.readouterr().err
     assert "--db" in err and "--model" in err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("gen-db", "--scale", "inf"), ("gen-db", "--scale", "nan"),
+    ("gen-db", "--scale", "0"), ("gen-db", "--scale", "-0.5"),
+    ("ingest", "--weld-tol", "-1"), ("ingest", "--weld-tol", "nan"),
+    ("ingest", "--weld-tol", "inf"),
+])
+def test_bad_number_flag_is_input_error(corpus, tmp_path, capsys,
+                                        command, flag, value):
+    """A non-finite or out-of-range number is named before anything is
+    read or written."""
+    out = tmp_path / "out"
+    model = ["--model", corpus["query"]] if command == "ingest" else []
+    rc = main([command, *model, "--out", str(out), flag, value])
+    assert rc == EXIT_INPUT
+    assert f"{flag} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_weld_to_nothing_says_model_has_no_parts(corpus, tmp_path, capsys):
+    """A weld tolerance that merges every vertex leaves only degenerate
+    faces, so no part is left to tag."""
+    rc = main(["ingest", "--model", corpus["query"], "--out",
+               str(tmp_path / "a.json"), "--weld-tol", "1e9"])
+    assert rc == EXIT_INPUT
+    assert "model has no parts" in capsys.readouterr().err

@@ -73,8 +73,7 @@ CASES = {
         ContactEdge(0, 1, np.array([0.1, 0.2, 0.3]), angle=None, min_distance=0.004),
         ContactEdge(1, 2, np.array([0.0, 0.5, 0.0]), angle=87.5),
         ContactEdge(2, GROUND_ID, np.array([0.0, 0.0, 0.0]), is_ground=True)]),
-    "repetition_graph": lambda: RepetitionGraph(nodes=[0, 1, 2, 3],
-                                                edges=[(0, 2), (1, 3)]),
+    "repetition_graph": lambda: RepetitionGraph(classes=[[0, 2], [1, 3], [4]]),
     "exemplar_with_mesh": lambda: exemplar(True),
     "exemplar_without_mesh": lambda: exemplar(False),
     "histogram": histogram,

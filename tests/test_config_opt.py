@@ -148,7 +148,7 @@ def test_symmetric_partner_without_problem_fixes_part():
         ContactEdge(1, GROUND_ID, np.array([1.0, 0, 0]), None, True),
     ])
     constraints = [AngleConstraint((0, 2), 55.0, 87.5, 0.0)]
-    rep = RepetitionGraph(nodes=[0, 1, 2], edges=[(0, 1)])
+    rep = RepetitionGraph(classes=[[0, 1], [2]])
     without = determine_fixed_parts(parts, graph, constraints)
     assert 0 not in without
     with_rep = determine_fixed_parts(parts, graph, constraints, repetition=rep)

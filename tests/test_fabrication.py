@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from meshreform import kernels
 from meshreform.fabrication import (FabricationSpec, JointAssignment,
                                     JointGeometry, JointType, PartSpec,
                                     QueryContact, export_spec,
@@ -16,7 +15,7 @@ from meshreform.obb import OrientedBox, boxes_mesh
 from meshreform.part_analysis import analyze_part
 from meshreform.qp import QPInfeasibleError, kkt_residual, solve_min_change_qp
 from meshreform.similarity import orientation_angles
-from conftest import make_box_part
+from conftest import make_box_part, points_in_boxes
 
 
 def boxes_volume(boxes):
@@ -295,7 +294,7 @@ def voxelize(boxes, lo, hi, n=128):
              for k in range(3)]
     xx, yy, zz = np.meshgrid(*ticks, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
-    return kernels.points_in_boxes(pts, centers, axes, halfs).reshape(n, n, n)
+    return points_in_boxes(pts, centers, axes, halfs).reshape(n, n, n)
 
 
 def orthogonal_mortise_tenon():

@@ -354,6 +354,8 @@ def test_curvilinear_leg_from_local_samples():
 # ---------------------------------------------------------------------------
 
 def test_four_identical_legs_form_clique():
+    """The legs form one class, every pair of them congruent; the top is
+    a class of its own."""
     legs = [make_box_part(i, [x, y, 0.35], [0.06, 0.06, 0.7])
             for i, (x, y) in enumerate([(-0.4, -0.25), (0.4, -0.25),
                                         (-0.4, 0.25), (0.4, 0.25)])]
@@ -361,8 +363,7 @@ def test_four_identical_legs_form_clique():
     model = normalize_model(Model(parts=legs + [top]))
     samples, _, descs = analyzed(model)
     rep = build_repetition_graph(model, descs, samples)
-    assert sorted(map(sorted, rep.classes()), key=min)[0] == [0, 1, 2, 3]
-    assert set(rep.edges) == set(itertools.combinations([0, 1, 2, 3], 2))
+    assert rep.classes == [[0, 1, 2, 3], [4]]
 
 
 def test_mirrored_pair_congruent():
@@ -378,7 +379,7 @@ def test_mirrored_pair_congruent():
                                          Part(id=1, mesh=mirrored)]))
     samples, _, descs = analyzed(model)
     rep = build_repetition_graph(model, descs, samples)
-    assert (0, 1) in rep.edges
+    assert rep.classes == [[0, 1]]
 
 
 def test_different_lengths_not_congruent():
@@ -387,7 +388,7 @@ def test_different_lengths_not_congruent():
     model = normalize_model(Model(parts=[a, b]))
     samples, _, descs = analyzed(model)
     rep = build_repetition_graph(model, descs, samples)
-    assert rep.edges == []
+    assert rep.classes == [[0], [1]]
 
 
 def test_congruence_invariant_under_model_rotation():
@@ -401,12 +402,12 @@ def test_congruence_invariant_under_model_rotation():
         model = normalize_model(Model(parts=list(parts)))
         samples, _, descs = analyzed(model)
         rep = build_repetition_graph(model, descs, samples)
-        assert (0, 1) in rep.edges
+        assert rep.classes == [[0, 1]]
 
 
-def repetition_edges_all_pairs(model, descriptors, samples):
+def repetition_classes_all_pairs(model, descriptors, samples):
     """The repetition scan that checks every pair with matching extents,
-    closed into cliques."""
+    transitively closed into classes."""
     ids = [p.id for p in model.parts]
     direct = []
     for i, j in itertools.combinations(ids, 2):
@@ -419,12 +420,12 @@ def repetition_edges_all_pairs(model, descriptors, samples):
         if congruence_rms(descriptors[i], pa, descriptors[j], pb,
                           stop_below=0.5 * CONGRUENCE_RMS_TOL) < CONGRUENCE_RMS_TOL:
             direct.append((i, j))
-    return [e for cls_ in connected_components(ids, direct)
-            for e in itertools.combinations(cls_, 2)]
+    return connected_components(ids, direct)
 
 
 def _two_classes():
-    """Four legs and three rails: two classes of different extents."""
+    """Four legs and three rails: two classes of different extents, the
+    parts listed out of id order."""
     legs = [make_box_part(i, [x, 0, 0.35], [0.06, 0.06, 0.7])
             for i, x in enumerate([-0.45, -0.15, 0.15, 0.45])]
     rails = [make_box_part(4 + k, [0, 0.3 * k - 0.3, 0.75], [1.0, 0.05, 0.04])
@@ -440,11 +441,11 @@ def _two_classes():
     _two_classes,
 ], ids=["wood_chair_6_slats", "wood_bed_5_slats", "two_classes"])
 def test_repetition_skips_pairs_already_in_one_class(build, monkeypatch):
-    """Skipping pairs the closure already joined keeps the all-pairs edges,
+    """Skipping pairs the closure already joined keeps the all-pairs classes,
     and k congruent copies cost at most k - 1 checks inside their class."""
     model = normalize_model(Model(parts=build()))
     samples, _, descs = analyzed(model)
-    want = repetition_edges_all_pairs(model, descs, samples)
+    want = repetition_classes_all_pairs(model, descs, samples)
     pid_of = {id(d): pid for pid, d in descs.items()}
     checked = []
 
@@ -454,8 +455,8 @@ def test_repetition_skips_pairs_already_in_one_class(build, monkeypatch):
 
     monkeypatch.setattr(graphs, "congruence_rms", counting)
     rep = build_repetition_graph(model, descs, samples)
-    assert rep.edges == want
-    classes = [c for c in rep.classes() if len(c) > 1]
+    assert rep.classes == want
+    classes = [c for c in rep.classes if len(c) > 1]
     assert len(classes) >= 2 and max(map(len, classes)) >= 3
     for cls_ in classes:
         assert sum(pair <= set(cls_) for pair in checked) <= len(cls_) - 1

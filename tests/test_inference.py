@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshreform import synthetic
 from meshreform.inference import (Assignment, FactorGraph, InferenceError,
                                   PairwiseFactor, build_material_factor_graph,
                                   build_reform_factor_graph, exact_map)
@@ -12,8 +13,9 @@ from meshreform.synthetic import GeneratorConfig, metal_table, wood_chair
 
 
 def brute_force_map(graph: FactorGraph, max_space=1_000_000) -> Assignment:
-    """Test oracle: exhaustive maximization of the weighted potential; ties
-    resolve to the lexicographically first assignment."""
+    """Test oracle: exhaustive maximization of the weighted potential, each
+    class's members held to equal labels; ties resolve to the
+    lexicographically first assignment."""
     sizes = [len(d) for d in graph.domains]
     space = int(np.prod(sizes, dtype=np.int64)) if sizes else 0
     if space > max_space:
@@ -31,6 +33,15 @@ def brute_force_map(graph: FactorGraph, max_space=1_000_000) -> Assignment:
             total = total + lt.reshape(shape)
         else:
             total = total + lt.T.reshape(shape)
+    for members in graph.classes:
+        for a, b in zip(members, members[1:]):
+            same = np.array([[x == y for y in graph.domains[b]]
+                             for x in graph.domains[a]], dtype=bool)
+            shape = [1] * len(sizes)
+            shape[a] = sizes[a]
+            shape[b] = sizes[b]
+            same = same if a < b else same.T
+            total = np.where(same.reshape(shape), total, -np.inf)
     flat = int(np.argmax(total))   # first max in C order = lexicographic
     idx = np.unravel_index(flat, sizes)
     indices = {k: int(i) for k, i in zip(graph.keys, idx)}
@@ -122,14 +133,34 @@ def test_nonfinite_factor_rejected():
     (0, -1, "contact", "missing variable"),
     (0, 2, "contact", "missing variable"),
     (0, 0, "contact", "itself"),
-    (0, 1, "repetiton", "kind"),
-    (0, 1, "repetition", "indicator of equal labels"),
+    (0, 2, "class", "existing variables"),
+    (-1, 1, "class", "existing variables"),
 ])
 def test_meaningless_factor_rejected(a, b, kind, match):
-    with pytest.raises(ValueError, match=rf"factor 0 \({a}, {b}, '{kind}'\).*{match}"):
+    """A contact factor or a class that names a missing variable, or a
+    contact factor from a variable to itself."""
+    if kind == "contact":
+        where, parts = rf"factor 0 \({a}, {b}\)", dict(
+            pairwise=[PairwiseFactor(a, b, np.ones((2, 2)))])
+    else:
+        where, parts = rf"class 0 \[{a}, {b}\]", dict(classes=[[a, b]])
+    with pytest.raises(ValueError, match=rf"{where}.*{match}"):
         FactorGraph(keys=[0, 1], domains=[np.arange(2)] * 2,
-                    unaries=[np.ones(2)] * 2,
-                    pairwise=[PairwiseFactor(a, b, np.ones((2, 2)), kind=kind)])
+                    unaries=[np.ones(2)] * 2, **parts)
+
+
+@pytest.mark.parametrize("classes", [[[0, 1], [1]], [[0, 0]], [[]]])
+def test_overlapping_or_empty_classes_rejected(classes):
+    with pytest.raises(ValueError, match="disjoint|existing variables"):
+        FactorGraph(keys=[0, 1], domains=[np.arange(2)] * 2,
+                    unaries=[np.ones(2)] * 2, classes=classes)
+
+
+def test_log_potential_of_a_split_class_is_minus_inf():
+    g = FactorGraph(keys=[0, 1], domains=[np.array([3, 5]), np.array([5, 3])],
+                    unaries=[np.ones(2)] * 2, classes=[[0, 1]])
+    assert g.log_potential([0, 1]) == 0.0       # both take label 3
+    assert g.log_potential([0, 0]) == -np.inf
 
 
 def test_brute_force_space_guard():
@@ -139,21 +170,17 @@ def test_brute_force_space_guard():
         brute_force_map(g, max_space=10 ** 6)
 
 
-def repetition_factor(domains, a, b):
-    table = (domains[a][:, None] == domains[b][None, :]).astype(float)
-    return PairwiseFactor(a, b, table, kind="repetition")
-
-
 @st.composite
 def class_graphs(draw):
     """Random MRFs with repetition classes, cycles and forced exact ties.
 
     Each variable's domain is a shuffled subset of 0..4 that holds its
-    class's shared labels. Repetition factors chain every class and may close
-    cycles in it; contact factors join any two variables, inside a class or
-    across. Ties are exact by construction: "uniform" gives every variable
-    constant unaries, and "duplicate" makes two shared labels of a class
-    interchangeable in its members' unaries and in every contact table."""
+    class's shared labels. The graph lists each class in shuffled member
+    order, and a singleton only sometimes; contact factors join any two
+    variables, inside a class or across. Ties are exact by construction:
+    "uniform" gives every variable constant unaries, and "duplicate" makes
+    two shared labels of a class interchangeable in its members' unaries and
+    in every contact table."""
     n = draw(st.integers(1, 6))
     cls = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     ties = draw(st.sampled_from(["none", "uniform", "duplicate"]))
@@ -166,12 +193,9 @@ def class_graphs(draw):
         domains.append(rng.permutation(np.union1d(shared[cls[v]], extra)))
     unaries = [np.full(len(d), 0.5) if ties == "uniform"
                else rng.uniform(0.05, 1.0, len(d)) for d in domains]
+    classes = [[int(v) for v in rng.permutation(vs)] for vs in members.values()
+               if len(vs) > 1 or rng.random() < 0.5]
     pairwise = []
-    for vs in members.values():
-        for a, b in zip(vs, vs[1:]):
-            pairwise.append(repetition_factor(domains, b, a))
-        if len(vs) > 2 and rng.random() < 0.5:
-            pairwise.append(repetition_factor(domains, vs[0], vs[-1]))
     for _ in range(draw(st.integers(0, 8)) if n > 1 else 0):
         a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
         table = rng.uniform(0.05, 1.0, (len(domains[a]), len(domains[b])))
@@ -185,12 +209,12 @@ def class_graphs(draw):
                 ix, iy = (int(np.flatnonzero(domains[v] == val)[0]) for val in (x, y))
                 unaries[v][iy] = unaries[v][ix]
                 for f in pairwise:
-                    if f.kind == "contact" and f.a == v:
+                    if f.a == v:
                         f.table[iy, :] = f.table[ix, :]
-                    if f.kind == "contact" and f.b == v:
+                    if f.b == v:
                         f.table[:, iy] = f.table[:, ix]
     return FactorGraph(keys=[f"v{v}" for v in range(n)], domains=domains,
-                       unaries=unaries, pairwise=pairwise)
+                       unaries=unaries, pairwise=pairwise, classes=classes)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -200,16 +224,14 @@ def test_exact_map_matches_brute_force(graph):
     bf = brute_force_map(graph)
     assert got.indices == bf.indices
     assert abs(got.log_potential - bf.log_potential) < 1e-9
-    for f in graph.pairwise:
-        if f.kind == "repetition":
-            assert got.labels[graph.keys[f.a]] == got.labels[graph.keys[f.b]]
+    for members in graph.classes:
+        assert len({got.labels[graph.keys[v]] for v in members}) == 1
 
 
 def test_repetition_class_without_shared_label_errors():
     domains = [np.array([0, 1]), np.array([1, 2]), np.array([2, 3])]
-    pairwise = [repetition_factor(domains, 0, 1), repetition_factor(domains, 1, 2)]
     g = FactorGraph(keys=["a", "b", "c"], domains=domains,
-                    unaries=[np.ones(2)] * 3, pairwise=pairwise)
+                    unaries=[np.ones(2)] * 3, classes=[[2, 0, 1]])
     with pytest.raises(InferenceError, match=r"repetition class \['a', 'b', 'c'\]"):
         exact_map(g)
 
@@ -222,7 +244,7 @@ def test_repetition_class_collapses_to_one_variable():
     across = PairwiseFactor(2, 1, np.ones((2, 2)))
     g = FactorGraph(keys=["a", "b", "c"], domains=domains,
                     unaries=[np.ones(3), np.ones(2), np.array([0.5, 1.0])],
-                    pairwise=[repetition_factor(domains, 0, 1), inside, across])
+                    pairwise=[inside, across], classes=[[0, 1]])
     out = exact_map(g)
     assert out.variables == 2
     assert out.labels == {"a": 1, "b": 1, "c": 4}
@@ -257,16 +279,11 @@ def test_reform_graph_structure(chair_analysis, small_db):
     # domains only contain wood candidates
     for dom in g.domains:
         assert all(small_db.part(int(c)).material == Material.WOOD for c in dom)
-    kinds = {f.kind for f in g.pairwise}
-    assert kinds == {"contact", "repetition"}
-    rep = [f for f in g.pairwise if f.kind == "repetition"]
-    assert rep
-    for f in rep:
-        table = f.table
-        eye = (g.domains[f.a][:, None] == g.domains[f.b][None, :]).astype(float)
-        assert np.array_equal(table, eye)
-    con = [f for f in g.pairwise if f.kind == "contact"]
-    assert con and all(f.weight == 0.1 for f in con)
+    # one target: the graph's classes are the congruence classes
+    classes = chair_analysis.repetition_graph.classes
+    assert max(map(len, classes)) > 1
+    assert [[g.keys[v] for v in members] for members in g.classes] == classes
+    assert g.pairwise and all(f.weight == 0.1 for f in g.pairwise)
 
 
 def test_reform_congruent_parts_get_same_label(chair_analysis, small_db):
@@ -276,22 +293,24 @@ def test_reform_congruent_parts_get_same_label(chair_analysis, small_db):
                                   chair_analysis.repetition_graph,
                                   targets, small_db)
     out = exact_map(g)
-    for i, j in chair_analysis.repetition_graph.edges:
-        assert out.labels[i] == out.labels[j]
+    for members in chair_analysis.repetition_graph.classes:
+        assert len({out.labels[pid] for pid in members}) == 1
 
 
 def test_reform_ties_only_congruent_parts_with_one_target(chair_analysis, small_db):
     """Per-part targets may give congruent parts different materials; those
-    parts share no candidate, so they get no repetition factor."""
-    i, j = chair_analysis.repetition_graph.edges[0]
+    parts share no candidate, so the class splits by target."""
+    members = next(c for c in chair_analysis.repetition_graph.classes if len(c) > 1)
+    i, j = members[:2]
     targets = {pid: Material.WOOD for pid in chair_analysis.descriptors}
     targets[j] = Material.METAL
     g = build_reform_factor_graph(chair_analysis.descriptors,
                                   chair_analysis.contact_graph,
                                   chair_analysis.repetition_graph,
                                   targets, small_db)
-    tied = {(g.keys[f.a], g.keys[f.b]) for f in g.pairwise if f.kind == "repetition"}
-    assert tied and all(targets[a] == targets[b] for a, b in tied)
+    tied = [[g.keys[v] for v in c] for c in g.classes]
+    assert [p for p in members if p != j] in tied and [j] in tied
+    assert all(len({targets[pid] for pid in c}) == 1 for c in tied)
     out = exact_map(g)
     assert small_db.part(int(out.labels[j])).material == Material.METAL
     assert small_db.part(int(out.labels[i])).material == Material.WOOD
@@ -306,7 +325,7 @@ def test_reform_single_part_no_contacts(small_db):
     p = model.parts[0]
     desc = analyze_part(p, sample_surface(p, 500, seed=0))
     g = build_reform_factor_graph({0: desc}, ContactGraph(nodes=[0]),
-                                  RepetitionGraph(nodes=[0]),
+                                  RepetitionGraph(classes=[[0]]),
                                   {0: Material.WOOD}, small_db)
     assert g.n_vars == 1 and g.pairwise == []
     out = exact_map(g)
@@ -377,11 +396,11 @@ def test_material_graph_skips_contacts_inside_a_repetition_class(small_db):
              make_box_part(1, [0, 0.1, 0], [1.0, 0.1, 0.02]),
              make_box_part(2, [0, 0.05, -0.04], [0.05, 0.4, 0.06])]
     analysis = analyze_model(Model(parts=parts), PipelineConfig(contact_samples=3000))
-    assert analysis.repetition_graph.edges == [(0, 1)]
+    assert analysis.repetition_graph.classes == [[0, 1], [2]]
     assert {e.key() for e in analysis.contact_graph.part_edges()} == {(0, 1), (0, 2), (1, 2)}
     g = build_material_factor_graph(analysis.descriptors, analysis.contact_graph,
                                     analysis.repetition_graph, small_db)
-    contacts = {(g.keys[f.a], g.keys[f.b]) for f in g.pairwise if f.kind == "contact"}
+    contacts = {(g.keys[f.a], g.keys[f.b]) for f in g.pairwise}
     assert contacts == {(0, 2), (1, 2)}
 
 
@@ -392,3 +411,30 @@ def test_material_map_matches_brute_force(chair_analysis, small_db):
     got = exact_map(g)
     bf = brute_force_map(g)
     assert got.indices == bf.indices
+
+
+GENERATORS = [g for gens in synthetic._VARIANTS.values() for _, g in gens]
+
+
+@pytest.mark.parametrize("generator", GENERATORS, ids=lambda g: g.__name__)
+def test_generated_models_hold_each_class_to_one_label(generator, small_db):
+    """For every generator over seeds 0-2, the repetition classes partition
+    the part ids, the material MAP gives each class one label, and the
+    reform MAP gives each class's parts of one target one label. Targets
+    alternate by part id, so congruent parts often differ in target."""
+    for seed in range(3):
+        src = generator(np.random.default_rng(seed), GeneratorConfig()).source("m")
+        analysis = analyze_model(src.model, PipelineConfig(contact_samples=1000))
+        classes = analysis.repetition_graph.classes
+        ids = sorted(analysis.descriptors)
+        assert sorted(pid for c in classes for pid in c) == ids
+        assert classes == sorted(map(sorted, classes), key=min)
+        args = (analysis.descriptors, analysis.contact_graph, analysis.repetition_graph)
+        materials = exact_map(build_material_factor_graph(*args, small_db)).labels
+        targets = {pid: (Material.WOOD, Material.METAL)[pid % 2] for pid in ids}
+        reform = exact_map(build_reform_factor_graph(*args, targets, small_db)).labels
+        for members in classes:
+            assert len({materials[pid] for pid in members}) == 1
+            for target in (Material.WOOD, Material.METAL):
+                same = [pid for pid in members if targets[pid] == target]
+                assert len({int(reform[pid]) for pid in same}) <= 1

@@ -8,7 +8,7 @@ from meshreform.mesh import (Material, MeshParseError, Model, Part,
                              TriangleMesh, load_model, normalize_model,
                              sample_surface, save_model)
 from meshreform.synthetic import arc_tube, rod_part
-from conftest import make_box_part
+from conftest import face_normals, make_box_part
 
 CUBE_PAIR = """\
 g left
@@ -249,7 +249,7 @@ def sample_surface_gather(part, n, seed=0):
     a, b, c = part.mesh.triangle_corners()
     a, b, c = a[face_idx], b[face_idx], c[face_idx]
     pos = a + u[:, None] * (b - a) + v[:, None] * (c - a)
-    return pos, part.mesh.face_normals()[face_idx], face_idx
+    return pos, face_normals(part.mesh)[face_idx], face_idx
 
 
 def _with_zero_area_face():

@@ -3,6 +3,7 @@ import glob
 import json
 import os
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -140,12 +141,32 @@ def test_all_other_parts_rejected(small_gen_config_mod):
         p.material = Material.OTHER
     with pytest.raises(ValueError, match="all tagged other"):
         analyze_model(src.model, PipelineConfig())
+    with pytest.raises(ValueError, match="model has no parts"):
+        analyze_model(Model(parts=[]), PipelineConfig())
+
+
+def test_reversed_part_list_gives_the_same_graphs(small_db, tmp_path):
+    """Parts listed in descending id order: every part edge is still
+    (min, max), the contact keys and repetition classes are those of the
+    ascending list, and the pipeline finishes (a (4, 0) edge once failed
+    the optimize-angles stage's edge lookup)."""
+    parts = mixed_table(np.random.default_rng(1), GeneratorConfig()).parts
+    cfg = PipelineConfig(contact_samples=3000, target_materials="all=wood")
+    fwd = analyze_model(Model(parts=list(parts)), cfg)
+    rev = analyze_model(Model(parts=parts[::-1]), cfg)
+    keys = [e.key() for e in fwd.contact_graph.edges]
+    assert all(i < j for i, j in (e.key() for e in fwd.contact_graph.part_edges()))
+    assert [e.key() for e in rev.contact_graph.edges] == keys
+    assert rev.repetition_graph.classes == fwd.repetition_graph.classes
+    summary = run_pipeline(None, None, cfg, tmp_path, model=Model(parts=parts[::-1]),
+                           db=small_db)
+    assert "export" in summary["stages"]
 
 
 def test_every_config_field_is_read():
     """A PipelineConfig field that no stage reads is a knob without a caller."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "meshreform")
-    text = "".join(open(p).read() for p in glob.glob(os.path.join(src, "*.py")))
+    text = "".join(Path(p).read_text() for p in glob.glob(os.path.join(src, "*.py")))
     unread = [f.name for f in dataclasses.fields(PipelineConfig)
               if not re.search(rf"\bcfg\.{f.name}\b", text)]
     assert not unread
